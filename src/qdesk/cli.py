@@ -174,7 +174,7 @@ def _exp_landau_zener(p, rng):
     for eta in p.get("eta_grid", [0.05, 0.1, 0.3, 0.6, 1.0, 1.5]):
         prob = varqml.landau_zener(1.0, float(np.sqrt(eta)))
         rows.append([eta, prob, float(np.exp(-2 * np.pi * eta))])
-    return ["eta", "ode_probability", "formula"], rows
+    return ["eta", "probability", "formula"], rows
 
 
 def _exp_qaoa_maxcut(p, rng):
@@ -371,7 +371,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--out", default=None)
     p_run.add_argument("--format", choices=["csv", "json"], default=None)
-    p_run.add_argument("--threads", type=int, default=1)
 
     sub.add_parser("list", help="list available experiments")
 

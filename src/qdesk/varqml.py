@@ -3,7 +3,8 @@
 Parameterized circuits, exact and stochastic parameter-shift gradients, VQE,
 QAOA with Ising/QUBO mappings (max-cut, QBoost), Gibbs-state constructions,
 DQC1 trace models, barren-plateau experiments, and adiabatic dynamics
-(Landau-Zener, schedule following, variational adiabatic descent).
+(Landau-Zener sweeps and schedule following by a fourth-order Magnus
+propagator).
 
 Sign convention: every parameterized layer is U(theta) = e^{-i theta G} with
 Hermitian generator G. The stochastic shift rule below is stated for this
@@ -16,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import simcore as sc
 from .errors import (
@@ -174,21 +174,6 @@ def exact_x_gradient(circ: ParamCircuit, t: int, label: str, theta, O,
         total += wi * (_shifted_cost(circ, theta, O, psi0, t, V, si, +1.0)
                        - _shifted_cost(circ, theta, O, psi0, t, V, si, -1.0))
     return float(total)
-
-
-def stochastic_theta_gradient(circ: ParamCircuit, theta, O, psi0,
-                              samples: int,
-                              rng: np.random.Generator) -> np.ndarray:
-    """Full dC/dtheta via the chain rule dx_{t,nu}/dtheta_t = g_{t,nu}."""
-    theta = np.asarray(theta, dtype=float)
-    grad = np.zeros_like(theta)
-    for t, layer in enumerate(circ.layers):
-        for label, g in layer.generator:
-            est = stochastic_parameter_shift(
-                circ, t, label, theta, O, psi0, samples, rng
-            )
-            grad[t] += float(np.real(g)) * est.value
-    return grad
 
 
 # --- VQE ---------------------------------------------------------------------
@@ -594,99 +579,157 @@ def barren_experiment(n_values, ensemble: int, rng: np.random.Generator,
 
 # --- adiabatic dynamics -------------------------------------------------------------
 
-def landau_zener(alpha: float, Delta: float, span_factor: float = 60.0,
-                 rtol: float = 1e-9) -> float:
-    """Integrate the two-level sweep H(t) = [[a t/2, D], [D, -a t/2]] and
-    return the probability of a non-adiabatic transition.
+# constants of the CF4 Magnus step, spelled out in solve_ivp
+_CF4_C = math.sqrt(3) / 6
+_CF4_A1 = (3 - 2 * math.sqrt(3)) / 12
+_CF4_A2 = (3 + 2 * math.sqrt(3)) / 12
+_CF4_MAX_PHASE = 0.25   # radians one step may turn at the largest |H|
+_CF4_MAX_CHANGE = 0.01  # change of H within one step, relative to max |H|
+_CF4_MAX_REFINE = 12    # step doublings an interval may take for that
+_CF4_BATCH = 4096       # steps whose exponentials are held at once
 
-    The asymptotic value is exp(-2 pi D^2 / a)."""
+
+@dataclass
+class Propagation:
+    """States at the grid times (one row each) and the number of H(t)
+    evaluations that produced them."""
+
+    states: np.ndarray
+    nfev: int
+
+
+def _cf4_steps(duration: float, h_norm: float) -> int:
+    """Steps over `duration` that turn no phase by more than
+    _CF4_MAX_PHASE radians under a Hamiltonian of spectral norm `h_norm`.
+    The 1e-12 slack stops rounding of the grid from adding a step."""
+    return max(1, math.ceil(duration * h_norm / _CF4_MAX_PHASE
+                            * (1 - 1e-12)))
+
+
+def _cf4_interval(hamiltonian, t0: float, t1: float, psi, steps: int,
+                  max_change: float):
+    """Apply `steps` CF4 steps over [t0, t1] to psi. Returns the new state,
+    or None if H changes by more than `max_change` (Frobenius norm) from a
+    step's first node to its midpoint or from there to its second node, and
+    the number of H(t) evaluations made."""
+    h = (t1 - t0) / steps
+    for k in range(0, steps, _CF4_BATCH):
+        t = t0 + h * np.arange(k, min(k + _CF4_BATCH, steps))
+        Ha = hamiltonian(t + (0.5 - _CF4_C) * h)
+        Hm = hamiltonian(t + 0.5 * h)
+        Hb = hamiltonian(t + (0.5 + _CF4_C) * h)
+        change = np.linalg.norm(np.stack([Hm - Ha, Hb - Hm]), axis=(2, 3))
+        if change.max() > max_change:
+            return None, 3 * (k + len(t))
+        # per step, the exponential weighted to the earlier node acts first
+        w, V = np.linalg.eigh(np.stack([_CF4_A2 * Ha + _CF4_A1 * Hb,
+                                        _CF4_A1 * Ha + _CF4_A2 * Hb], axis=1))
+        E = (V * np.exp(-1j * h * w)[..., None, :]) @ V.conj().swapaxes(-1, -2)
+        U = E[:, 1] @ E[:, 0]
+        while len(U) > 1:  # pairwise binary tree, later step on the left
+            even = len(U) - len(U) % 2
+            U = np.concatenate([U[1:even:2] @ U[0:even:2], U[even:]])
+        psi = U[0] @ psi
+    return psi, 3 * steps
+
+
+def solve_ivp(hamiltonian, t_grid, psi0) -> Propagation:
+    """Solve i dpsi/dt = H(t) psi with psi(t_grid[0]) = psi0 by the
+    fourth-order commutator-free Magnus scheme of Blanes & Moan (2006).
+
+    `hamiltonian` maps an array of k times to a (k, d, d) stack of
+    Hermitian matrices. The step of length h from t is
+        exp(-ih(a1 H(t + c1 h) + a2 H(t + c2 h)))
+        @ exp(-ih(a2 H(t + c1 h) + a1 H(t + c2 h))),
+    with c = 1/2 -+ sqrt(3)/6 and a = (3 -+ 2 sqrt(3))/12.
+
+    Step rule: an interval of `t_grid` of length L takes
+    ceil(L |H|max / 0.25) equal steps, |H|max the largest spectral norm of
+    H on `t_grid`, so no step turns a phase by more than a quarter radian.
+    That count is doubled, at most 12 times before IntegratorDiverged,
+    until in every step H changes by at most 0.01 max|H|_F from the first
+    Gauss node to the midpoint and from there to the second node; the
+    midpoint sees an H that oscillates in step with the grid. Exponentials
+    of up to _CF4_BATCH steps come from one batched eigh and are multiplied
+    in a binary tree, so memory is bounded by that batch."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    H = hamiltonian(t_grid)
+    h_norm = np.abs(np.linalg.eigvalsh(H)).max()
+    max_change = _CF4_MAX_CHANGE * np.linalg.norm(H, axis=(1, 2)).max()
+    psi = np.asarray(psi0, dtype=complex)
+    states, nfev = [psi], len(t_grid)
+    for t0, t1 in zip(t_grid[:-1], t_grid[1:]):
+        steps = _cf4_steps(t1 - t0, h_norm)
+        for _ in range(_CF4_MAX_REFINE + 1):
+            new, evals = _cf4_interval(hamiltonian, t0, t1, psi, steps,
+                                       max_change)
+            nfev += evals
+            if new is not None:
+                break
+            steps *= 2
+        else:
+            raise IntegratorDiverged(
+                f"H(t) changes too fast on [{t0:g}, {t1:g}] to resolve")
+        psi = new
+        states.append(psi)
+    return Propagation(np.array(states), nfev)
+
+
+def landau_zener(alpha: float, Delta: float,
+                 span_factor: float = 60.0) -> float:
+    """Propagate the two-level sweep H(t) = [[a t/2, D], [D, -a t/2]] over
+    [-T0, T0] from the instantaneous ground state and return the
+    probability of a non-adiabatic transition.
+
+    T0 = span_factor * max(D/a, 1/D, 1/sqrt(a)). The sweep is one interval
+    of solve_ivp, whose change rule never binds on this linear ramp, so it
+    takes ceil(2 T0 |H(T0)| / 0.25) Magnus steps, |H(T0)| = hypot(a T0/2, D):
+    no step turns the phase by more than a quarter radian at the ends, where
+    |H| is largest. The asymptotic value is exp(-2 pi D^2 / a)."""
     if Delta == 0.0:
         return 1.0
     t_char = max(Delta / alpha, 1 / Delta, 1 / np.sqrt(alpha))
     T0 = span_factor * t_char
 
-    def rhs(t, y):
-        psi = y[:2] + 1j * y[2:]
-        Hm = np.array([[alpha * t / 2, Delta], [Delta, -alpha * t / 2]])
-        d = -1j * Hm @ psi
-        return np.concatenate([d.real, d.imag])
+    def hamiltonian(t):
+        return (alpha * t / 2)[:, None, None] * sc.Z.real + Delta * sc.X.real
 
-    # instantaneous ground state at -T0
-    H0 = np.array([[-alpha * T0 / 2, Delta], [Delta, alpha * T0 / 2]])
-    w, Vm = np.linalg.eigh(H0)
-    psi0 = Vm[:, 0].astype(complex)
-    sol = solve_ivp(rhs, (-T0, T0), np.concatenate([psi0.real, psi0.imag]),
-                    rtol=rtol, atol=1e-12, method="DOP853")
-    if not sol.success:
-        raise IntegratorDiverged(sol.message)
-    psi = sol.y[:2, -1] + 1j * sol.y[2:, -1]
-    H1 = np.array([[alpha * T0 / 2, Delta], [Delta, -alpha * T0 / 2]])
-    w, Vm = np.linalg.eigh(H1)
-    excited = Vm[:, 1]
-    return float(abs(np.vdot(excited, psi)) ** 2)
+    _, V = np.linalg.eigh(hamiltonian(np.array([-T0, T0])))
+    psi = solve_ivp(hamiltonian, [-T0, T0], V[0, :, 0]).states[-1]
+    return float(abs(np.vdot(V[1, :, 1], psi)) ** 2)
 
 
-def adiabatic_follow(H0, H1, T: float, schedule=None, n_checks: int = 51,
-                     rtol: float = 1e-9):
-    """Integrate H(t) = (1 - lam(t/T)) H0 + lam(t/T) H1 from the ground
+def adiabatic_follow(H0, H1, T: float, schedule=None, n_checks: int = 51):
+    """Propagate H(t) = (1 - lam(t/T)) H0 + lam(t/T) H1 from the ground
     state of H0; returns (s grid, fidelity with the instantaneous ground
-    state)."""
+    state).
+
+    The n_checks - 1 check intervals, of length tau = T / (n_checks - 1),
+    are the intervals of solve_ivp. Each takes ceil(tau |H|max / 0.25)
+    Magnus steps, with |H|max the largest spectral norm of H(s) on the check
+    grid, so that no step turns the phase by more than a quarter radian.
+    Where the schedule moves lam by more than about 0.01 within one step,
+    solve_ivp doubles that interval's steps until it does not. The schedule
+    is called on scalar s: at the check points, and at the two Gauss nodes
+    and the midpoint of every step."""
     H0 = np.asarray(H0, dtype=complex)
     H1 = np.asarray(H1, dtype=complex)
     lam = schedule or (lambda s: s)
 
-    def H(s):
-        return (1 - lam(s)) * H0 + lam(s) * H1
+    def H(s_values):
+        lams = np.array([lam(s) for s in s_values])[:, None, None]
+        return (1 - lams) * H0 + lams * H1
 
     w, V = np.linalg.eigh(H0)
     if w[1] - w[0] < 1e-12:
         raise IntegratorDiverged("degenerate initial ground state")
-    psi0 = V[:, 0].astype(complex)
-    dim = psi0.size
-
-    def rhs(t, y):
-        psi = y[:dim] + 1j * y[dim:]
-        d = -1j * (H(t / T) @ psi)
-        return np.concatenate([d.real, d.imag])
+    psi0 = V[:, 0]
 
     s_grid = np.linspace(0, 1, n_checks)
-    sol = solve_ivp(rhs, (0.0, T), np.concatenate([psi0.real, psi0.imag]),
-                    t_eval=s_grid * T, rtol=rtol, atol=1e-12,
-                    method="DOP853")
-    if not sol.success:
-        raise IntegratorDiverged(sol.message)
-    fids = np.empty(n_checks)
-    for i, s in enumerate(s_grid):
-        w, V = np.linalg.eigh(H(s))
-        gs = V[:, 0]
-        psi = sol.y[:dim, i] + 1j * sol.y[dim:, i]
-        fids[i] = abs(np.vdot(gs, psi)) ** 2
+    _, V = np.linalg.eigh(H(s_grid))
+    states = solve_ivp(lambda t: H(t / T), s_grid * T, psi0).states
+    fids = np.abs(np.einsum("ij,ij->i", V[:, :, 0].conj(), states)) ** 2
     return s_grid, fids
-
-
-def variational_adiabatic_descent(circ: ParamCircuit, H0, H1, s_grid,
-                                  lr: float, steps_per_s: int,
-                                  rng: np.random.Generator,
-                                  theta0=None):
-    """Follow the interpolated ground state with gradient descent; returns
-    the parameter path (list of theta per s)."""
-    H0 = np.asarray(H0, dtype=complex)
-    H1 = np.asarray(H1, dtype=complex)
-    theta = (rng.uniform(-0.1, 0.1, circ.n_params) if theta0 is None
-             else np.asarray(theta0, dtype=float).copy())
-    path = []
-    for s in s_grid:
-        Hs = (1 - s) * H0 + s * H1
-
-        def f(th):
-            return cost_expectation(circ, th, Hs)
-
-        theta, _ = gradient_descent(
-            f, lambda th: finite_difference_gradient(f, th, 1e-6),
-            theta, lr=lr, steps=steps_per_s,
-        )
-        path.append(theta.copy())
-    return path
 
 
 def loss_std_profile(circ: ParamCircuit, H, theta_center, deltas,

@@ -128,6 +128,17 @@ class TestRun:
         path, _ = write_cfg(tmp_path, experiment="nope")
         assert cli.main(["run", "--config", str(path)]) == 2
 
+    def test_threads_flag_removed(self, tmp_path):
+        path, _ = write_cfg(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--config", str(path), "--threads", "2"])
+        assert exc.value.code == 2
+
+    def test_landau_zener_header_names_no_method(self):
+        text = cli.run_config({"experiment": "landau-zener", "seed": 1,
+                               "params": {"eta_grid": [1.0]}})
+        assert "eta,probability,formula" in text.splitlines()
+
     def test_run_malformed_json_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("[1, 2")
@@ -144,3 +155,13 @@ class TestEntryPoint:
         )
         assert res.returncode == 0
         assert "# seed=7" in res.stdout
+
+    def test_import_loads_no_scipy(self):
+        res = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, qdesk.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True,
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"

@@ -1,12 +1,13 @@
 """Variational algorithms: shift rules, VQE, QAOA, combinatorial mappings,
 Gibbs constructions, barren plateaus, adiabatic dynamics."""
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from qdesk import simcore as sc, varqml as vq
-from qdesk.errors import UnsupportedGenerator
+from qdesk.errors import IntegratorDiverged, UnsupportedGenerator
 
 
 def two_qubit_circuit():
@@ -242,6 +243,88 @@ class TestAdiabatic:
         assert i100 < i50 / 1.6  # doubling T at least halves, 20% slack
         _, f400 = vq.adiabatic_follow(H0, H1, 400)
         assert f400[-1] > 0.999
+
+
+def at_default_and_half_step(monkeypatch, compute):
+    """compute() with the default Magnus step rule, then with every step
+    halved: twice the phase-rule step count, half the allowed change of H
+    within a step."""
+    default = compute()
+    steps = vq._cf4_steps
+    monkeypatch.setattr(vq, "_cf4_steps", lambda *a: 2 * steps(*a))
+    monkeypatch.setattr(vq, "_CF4_MAX_CHANGE", vq._CF4_MAX_CHANGE / 2)
+    return default, compute()
+
+
+def fixed_steps(monkeypatch, n):
+    monkeypatch.setattr(vq, "_cf4_steps", lambda *a: n)
+
+
+class TestMagnusPropagator:
+    @staticmethod
+    def sweep(t):
+        Hm = np.empty((t.size, 2, 2))
+        Hm[:, 0, 0], Hm[:, 1, 1] = t, -t
+        Hm[:, 0, 1] = Hm[:, 1, 0] = 1.0
+        return Hm
+
+    def final_state(self, monkeypatch, n):
+        fixed_steps(monkeypatch, n)
+        return vq.solve_ivp(self.sweep, [-4.0, 4.0], [1, 0]).states[-1]
+
+    def test_fourth_order(self, monkeypatch):
+        ref = self.final_state(monkeypatch, 8192)
+        err = [np.linalg.norm(self.final_state(monkeypatch, n) - ref)
+               for n in (64, 128)]
+        assert err[0] / err[1] > 12  # 16 for a fourth-order scheme
+
+    def test_batches_and_grid(self, monkeypatch):
+        # more steps than one batch; states reported at every grid time
+        grid = np.linspace(-2.0, 2.0, 3)
+        n = vq._CF4_BATCH + 3
+        fixed_steps(monkeypatch, n)
+        out = vq.solve_ivp(self.sweep, grid, [1, 0])
+        assert out.nfev == grid.size + 3 * n * 2
+        assert np.allclose(np.linalg.norm(out.states, axis=1), 1, atol=1e-12)
+        half = vq.solve_ivp(self.sweep, grid[:2], [1, 0]).states[-1]
+        assert np.allclose(out.states[1], half, atol=1e-13)
+
+    def test_step_count_from_hamiltonian(self):
+        # |H| peaks at hypot(4, 1) on [-4, 4]; each step adds 3 evaluations
+        out = vq.solve_ivp(self.sweep, [-4.0, 4.0], [1, 0])
+        assert out.nfev == 2 + 3 * math.ceil(8 * math.hypot(4, 1) / 0.25)
+
+    def test_unresolvable_hamiltonian_raises(self):
+        H0 = -vq.hamiltonian_matrix([("XI", 1.0), ("IX", 1.0)], 2)
+        H1 = vq.IsingModel({(0, 1): 0.7}, np.array([0.3, -0.5])).hamiltonian()
+        with pytest.raises(IntegratorDiverged, match="too fast"):
+            vq.adiabatic_follow(H0, H1, 8.0, lambda s: (s * 1e7) % 1.0)
+
+
+def fast_schedule(s):
+    # 100 periods over the sweep: two in every default check interval, so
+    # both Gauss nodes of a two-step interval see the same lam
+    return 0.5 * (1 - np.cos(200 * np.pi * s))
+
+
+class TestStepHalving:
+    """Halving every Magnus step moves no result by more than 1e-7."""
+
+    def test_landau_zener(self, monkeypatch):
+        etas = (0.05, 0.1, 0.3, 0.6, 1.0, 1.5)  # the landau-zener CLI grid
+        p, p_fine = at_default_and_half_step(monkeypatch, lambda: np.array(
+            [vq.landau_zener(1.0, np.sqrt(eta)) for eta in etas]))
+        assert np.abs(p - p_fine).max() <= 1e-7
+
+    @pytest.mark.parametrize("schedule", [None, lambda s: s**2, fast_schedule],
+                             ids=["linear", "quadratic", "fast"])
+    def test_adiabatic_follow(self, monkeypatch, schedule):
+        H0 = -vq.hamiltonian_matrix([("XI", 1.0), ("IX", 1.0)], 2)
+        H1 = vq.IsingModel({(0, 1): 0.7}, np.array([0.3, -0.5])).hamiltonian()
+        f, f_fine = at_default_and_half_step(monkeypatch, lambda: np.array(
+            [vq.adiabatic_follow(H0, H1, T, schedule)[1]
+             for T in (8.0, 16.0, 50.0, 100.0, 400.0)]))
+        assert np.abs(f - f_fine).max() <= 1e-7
 
 
 class TestLossProfile:
