@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -304,6 +305,62 @@ EXPERIMENTS = {
 }
 
 
+# --- parameter checks -------------------------------------------------------
+# Values that would otherwise fail, or leave the simulator's scope, only
+# once the experiment runs. Each check returns error messages.
+
+MAX_QUBITS = 12
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _list_errors(p, key, default, ok, want) -> list:
+    values = p.get(key, default)
+    if not isinstance(values, list):
+        return [f"{key} must be a list"]
+    return [f"{key} value {v!r} is not {want}" for v in values if not ok(v)]
+
+
+def _check_landau_zener(p):
+    return _list_errors(
+        p, "eta_grid", [],
+        lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+        and math.isfinite(v) and v > 0,
+        "a finite number > 0")
+
+
+def _check_grover(p):
+    n = p.get("n", 4)
+    if not _is_int(n) or not 1 <= n <= MAX_QUBITS:
+        return [f"n must be an integer in 1..{MAX_QUBITS}"]
+    errors = _list_errors(p, "marked", [3],
+                          lambda v: _is_int(v) and 0 <= v < 2**n,
+                          f"an integer in [0, 2^n) = [0, {2**n})")
+    if not errors and len(set(p.get("marked", [3]))) in (0, 2**n):
+        errors.append("marked must name some but not all indices")
+    return errors
+
+
+def _check_barren_sweep(p):
+    ensemble = p.get("ensemble", 200)
+    errors = _list_errors(p, "n_values", [],
+                          lambda v: _is_int(v) and 1 <= v <= MAX_QUBITS,
+                          f"an integer in 1..{MAX_QUBITS}")
+    if not _is_int(ensemble) or ensemble < 2:
+        errors.append("ensemble must be an integer >= 2: a variance needs "
+                      "two samples")
+    return errors
+
+
+PARAM_CHECKS = {
+    "landau-zener": _check_landau_zener,
+    "grover": _check_grover,
+    "barren-sweep": _check_barren_sweep,
+}
+
+
 def validate_config(cfg: dict) -> list:
     """Diagnostics for a parsed config; errors start with 'error:'."""
     diags = []
@@ -323,6 +380,11 @@ def validate_config(cfg: dict) -> list:
     fmt = cfg.get("format", "csv")
     if fmt not in ("csv", "json"):
         diags.append(f"error: unknown format {fmt!r}")
+    params = cfg.get("params", {})
+    if not isinstance(params, dict):
+        diags.append("error: params must be a JSON object")
+    elif name in PARAM_CHECKS:
+        diags += [f"error: {name}: {e}" for e in PARAM_CHECKS[name](params)]
     return diags
 
 

@@ -88,10 +88,7 @@ class KernelModel:
 
 
 def _pinv(K: np.ndarray) -> np.ndarray:
-    w = np.linalg.eigvalsh(K)
-    cutoff = PINV_CUTOFF * max(w.max(), 0.0)
-    return np.linalg.pinv(K, rcond=PINV_CUTOFF)if cutoff == 0 \
-        else np.linalg.pinv(K, hermitian=True, rcond=PINV_CUTOFF)
+    return np.linalg.pinv(K, hermitian=True, rcond=PINV_CUTOFF)
 
 
 def kernel_fit(gm: GramMatrix, y, lam: float, X=None) -> KernelModel:

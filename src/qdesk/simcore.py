@@ -8,6 +8,7 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -67,8 +68,8 @@ FIXED_GATES = {
 
 
 def n_qubits(dim: int) -> int:
-    n = int(round(np.log2(dim)))
-    if 2**n != dim:
+    n = int(dim).bit_length() - 1
+    if dim < 1 or 1 << n != dim:
         raise DimensionMismatch(f"dimension {dim} is not a power of 2")
     return n
 
@@ -83,47 +84,70 @@ def is_unitary(U: np.ndarray, tol: float = 1e-10) -> bool:
     return np.allclose(U.conj().T @ U, np.eye(U.shape[0]), atol=tol)
 
 
+@functools.lru_cache(maxsize=4096)
+def _axis_orders(n: int, targets: tuple, batched: bool):
+    """Transpose that brings the target axes of a rank-n amplitude tensor
+    (after the batch axis, when batched) to the front, and its inverse.
+    Validates the targets, so only a new (n, targets) pays for the check."""
+    for q in targets:
+        if not 0 <= q < n:
+            raise TargetOutOfRange(f"qubit {q} out of range for n={n}")
+    if len(set(targets)) != len(targets):
+        raise TargetOutOfRange("duplicate target qubits")
+    rest = [q for q in range(n) if q not in targets]
+    if batched:
+        order = [q + 1 for q in targets] + [0] + [q + 1 for q in rest]
+    else:
+        order = list(targets) + rest
+    return tuple(order), tuple(int(i) for i in np.argsort(order))
+
+
 def apply_gate(state: np.ndarray, gate: np.ndarray, targets) -> np.ndarray:
     """Apply a 2^k x 2^k unitary to the given target qubits.
 
-    Works by index arithmetic on the amplitude array: reshape to a rank-n
-    tensor, pull the target axes to the front and hit them with the matrix.
+    `state` is one state of shape (2^n,) or a batch of b states of shape
+    (b, 2^n), one per row; the result has the same shape. Works by index
+    arithmetic on the amplitude array: reshape to a rank-n tensor per
+    state, pull the target axes to the front and hit them with the matrix.
     No 2^n x 2^n matrix is ever built.
     """
-    targets = list(targets)
-    n = n_qubits(state.size)
+    if state.ndim not in (1, 2):
+        raise DimensionMismatch(
+            f"state of shape {state.shape} is neither (2^n,) nor (b, 2^n)"
+        )
+    targets = tuple(targets)
     k = len(targets)
     if gate.shape != (2**k, 2**k):
         raise DimensionMismatch(
             f"gate of shape {gate.shape} does not act on {k} qubits"
         )
-    for q in targets:
-        if not 0 <= q < n:
-            raise TargetOutOfRange(f"qubit {q} out of range for n={n}")
-    if len(set(targets)) != k:
-        raise TargetOutOfRange("duplicate target qubits")
-
-    rest = [q for q in range(n) if q not in targets]
-    psi = state.reshape([2] * n).transpose(targets + rest).reshape(2**k, -1)
+    n = n_qubits(state.shape[-1])
+    batch = state.shape[:-1]
+    order, inverse = _axis_orders(n, targets, bool(batch))
+    psi = state.reshape(batch + (2,) * n).transpose(order).reshape(2**k, -1)
     psi = gate @ psi
-    inv = np.argsort(targets + rest)
-    return psi.reshape([2] * n).transpose(inv).reshape(-1)
+    return psi.reshape((2,) * k + batch + (2,) * (n - k)) \
+        .transpose(inverse).reshape(state.shape)
 
 
 def apply_gate_density(rho: np.ndarray, gate: np.ndarray, targets) -> np.ndarray:
-    """Conjugate a density matrix by a gate on the target qubits."""
+    """Conjugate a density matrix by a gate on the target qubits.
+
+    rho is read as a 2n-qubit vector, ket qubits first: the gate acts on
+    the ket leg and its conjugate on the bra leg, giving U rho U^dag."""
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise DimensionMismatch(f"density matrix of shape {rho.shape}")
     n = n_qubits(rho.shape[0])
-    U = expand_gate(gate, targets, n)
-    return U @ rho @ U.conj().T
+    targets = list(targets)
+    vec = apply_gate(rho.reshape(-1), gate, targets)
+    vec = apply_gate(vec, gate.conj(), [q + n for q in targets])
+    return vec.reshape(rho.shape)
 
 
 def expand_gate(gate: np.ndarray, targets, n: int) -> np.ndarray:
-    """Dense 2^n x 2^n embedding of a k-qubit gate (for small n)."""
-    dim = 2**n
-    out = np.empty((dim, dim), dtype=complex)
-    for col in range(dim):
-        out[:, col] = apply_gate(basis_state(n, col), gate, targets)
-    return out
+    """Dense 2^n x 2^n embedding of a k-qubit gate (for small n): the gate
+    applied to every basis state at once, one per row, then transposed."""
+    return apply_gate(np.eye(2**n, dtype=complex), gate, targets).T
 
 
 def probabilities(state: np.ndarray) -> np.ndarray:
@@ -302,12 +326,13 @@ class Circuit:
         return sum(1 for op in self.ops if op.name != "measure")
 
     def unitary(self) -> np.ndarray:
+        # row i of the batch carries basis state i through the circuit
         U = np.eye(2**self.n, dtype=complex)
         for op in self.ops:
             if op.name == "measure":
                 raise ValueError("circuit with measurements has no unitary")
-            U = expand_gate(op.resolve(), list(op.targets), self.n) @ U
-        return U
+            U = apply_gate(U, op.resolve(), op.targets)
+        return U.T
 
     def run(self, state=None, rng=None):
         """Execute the circuit. Returns (state, dict of measured bits)."""

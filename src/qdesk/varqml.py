@@ -240,23 +240,29 @@ class IsingModel:
             e += Jij * z[i] * z[j]
         return e
 
-    def hamiltonian(self, include_const: bool = True) -> np.ndarray:
+    def diagonal(self, include_const: bool = True) -> np.ndarray:
+        """Energy of every basis state: index x has spins z = 1 - 2 x_q,
+        qubit 0 the most significant bit."""
         n = self.n
-        Hm = np.zeros((2**n, 2**n), dtype=complex)
+        idx = np.arange(2**n)
+        z = 1 - 2 * ((idx[:, None] >> np.arange(n - 1, -1, -1)) & 1)
+        diag = np.zeros(2**n)
         for (i, j), Jij in self.J.items():
-            lab = "".join("Z" if q in (i, j) else "I" for q in range(n))
-            Hm += Jij * sc.pauli_matrix(lab)
+            diag += Jij * z[:, i] * z[:, j]
         for i, hi in enumerate(self.h):
             if hi:
-                lab = "".join("Z" if q == i else "I" for q in range(n))
-                Hm += hi * sc.pauli_matrix(lab)
-        if self.c is not None:
-            for i, ci in enumerate(self.c):
-                if ci:
-                    lab = "".join("X" if q == i else "I" for q in range(n))
-                    Hm += ci * sc.pauli_matrix(lab)
+                diag += hi * z[:, i]
         if include_const:
-            Hm += self.const * np.eye(2**n)
+            diag += self.const
+        return diag
+
+    def hamiltonian(self, include_const: bool = True) -> np.ndarray:
+        Hm = np.diag(self.diagonal(include_const)).astype(complex)
+        if self.c is not None:
+            idx = np.arange(2**self.n)
+            for i, ci in enumerate(self.c):
+                if ci:  # sigma^x_i flips bit i of the index
+                    Hm[idx, idx ^ (1 << (self.n - 1 - i))] += ci
         return Hm
 
 
@@ -339,8 +345,7 @@ def qaoa_state(model: IsingModel, gammas, betas) -> np.ndarray:
     """|psi> = prod_j e^{-i beta_j H0} e^{-i gamma_j H1} |+...+> with the
     sigma^x mixer H0 = sum sigma^x_i."""
     n = model.n
-    H1 = model.hamiltonian(include_const=False).real
-    diag = np.diag(H1).copy()  # H1 is diagonal for a classical Ising model
+    diag = model.diagonal(include_const=False)
     psi = np.full(2**n, 1 / np.sqrt(2**n), dtype=complex)
     for g, b in zip(gammas, betas):
         psi = np.exp(-1j * g * diag) * psi
@@ -359,8 +364,7 @@ def qaoa(model: IsingModel, p: int, rng: np.random.Generator,
     compares the expected energy against the brute-force optimum.
     """
     n = model.n
-    H1 = model.hamiltonian(include_const=False).real
-    diag_e = np.diag(H1).real + model.const
+    diag_e = model.diagonal()
     e_min = diag_e.min()
     e_max = diag_e.max()
 
@@ -488,36 +492,48 @@ def tfim_gibbs(model: IsingModel, T: float):
 
 # --- barren plateaus --------------------------------------------------------------
 
+def _brickwork_gates(n: int, depth: int, rng: np.random.Generator):
+    """(gate, targets) of alternating layers of Haar-random two-qubit
+    blocks, each drawn when it is reached."""
+    for layer in range(depth):
+        for q in range(layer % 2, n - 1, 2):
+            yield sc.haar_random_unitary(4, rng), (q, q + 1)
+
+
 def brickwork_unitary(n: int, depth: int, rng: np.random.Generator) -> np.ndarray:
     """Alternating layers of Haar-random two-qubit blocks."""
-    U = np.eye(2**n, dtype=complex)
-    for layer in range(depth):
-        start = layer % 2
-        for q in range(start, n - 1, 2):
-            g = sc.haar_random_unitary(4, rng)
-            U = sc.expand_gate(g, [q, q + 1], n) @ U
-    return U
+    U = np.eye(2**n, dtype=complex)  # one basis state per row
+    for g, targets in _brickwork_gates(n, depth, rng):
+        U = sc.apply_gate(U, g, targets)
+    return U.T
 
 
 def barren_gradient_sample(n: int, H, V, rng: np.random.Generator,
                            mode: str = "brickwork",
                            depth: int | None = None, psi0=None) -> float:
     """One draw of dE/dtheta at theta = 0 for E = <0|U-^dag e^{i theta V}
-    U+^dag H U+ e^{-i theta V} U-|0>, i.e. i<0|U-^dag [V, U+^dag H U+] U-|0>."""
+    U+^dag H U+ e^{-i theta V} U-|0>, i.e. i<chi|[V, U+^dag H U+]|chi> with
+    chi = U-|0>. For Hermitian H and V that is -2 Im<U+ V chi|H|U+ chi>,
+    so only the pair (chi, V chi) is pushed through U+; every U- gate is
+    drawn before any U+ gate."""
+    psi = sc.basis_state(n) if psi0 is None else np.asarray(psi0, complex)
+    H = np.asarray(H, dtype=complex)
     if mode == "haar":
         Um = sc.haar_random_unitary(2**n, rng)
         Up = sc.haar_random_unitary(2**n, rng)
+        chi = Um @ psi
+        pair = np.stack([chi, V @ chi]) @ Up.T
     elif mode == "brickwork":
         depth = depth or 3 * n
-        Um = brickwork_unitary(n, depth, rng)
-        Up = brickwork_unitary(n, depth, rng)
+        chi = psi
+        for g, targets in _brickwork_gates(n, depth, rng):
+            chi = sc.apply_gate(chi, g, targets)
+        pair = np.stack([chi, V @ chi])
+        for g, targets in _brickwork_gates(n, depth, rng):
+            pair = sc.apply_gate(pair, g, targets)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    psi = sc.basis_state(n) if psi0 is None else psi0
-    chi = Um @ psi
-    M = Up.conj().T @ np.asarray(H, dtype=complex) @ Up
-    comm = V @ M - M @ V
-    return float((1j * np.vdot(chi, comm @ chi)).real)
+    return float(-2 * np.vdot(pair[1], H @ pair[0]).imag)
 
 
 def case3_variance(H, V, n: int, purity: float = 1.0,
@@ -535,8 +551,9 @@ def case3_variance(H, V, n: int, purity: float = 1.0,
     V = np.asarray(V, dtype=complex)
     d = 2**n
     Ht = H - np.trace(H) / d * np.eye(d)
-    tr_h2 = np.trace(Ht @ Ht).real
-    tr_v2 = np.trace(V @ V).real
+    # tr(A A) = sum_ij A_ij A_ji: O(d^2), no d^3 matrix product
+    tr_h2 = np.sum(Ht * Ht.T).real
+    tr_v2 = np.sum(V * V.T).real
     tr_v = np.trace(V).real
     if exact:
         return float(2 * tr_h2 * purity * (d * tr_v2 - tr_v**2)

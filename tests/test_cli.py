@@ -57,6 +57,51 @@ class TestValidate:
         assert cli.main(["validate", "--config", "/no/such/file.json"]) == 2
 
 
+class TestParamBoundary:
+    """Parameter values that used to pass `validate` and then fail, or run
+    out of scope, inside `run` are config errors: exit 2 from both."""
+
+    BAD = [
+        ("landau-zener", {"eta_grid": [0.3, -0.5]}, "eta_grid value -0.5"),
+        ("landau-zener", {"eta_grid": [0.0]}, "eta_grid value 0.0"),
+        ("grover", {"n": 3, "marked": [8]}, "marked value 8"),
+        ("grover", {"n": 3, "marked": [-1]}, "marked value -1"),
+        ("grover", {"n": 2, "marked": []}, "some but not all"),
+        ("barren-sweep", {"n_values": [2], "ensemble": 1}, "ensemble"),
+        ("barren-sweep", {"n_values": [13], "ensemble": 20},
+         "n_values value 13"),
+        ("barren-sweep", {"n_values": [0], "ensemble": 20},
+         "n_values value 0"),
+    ]
+
+    @pytest.mark.parametrize("name,params,message", BAD)
+    def test_validate_and_run_exit_2(self, name, params, message, tmp_path,
+                                     capsys, monkeypatch):
+        path, _ = write_cfg(tmp_path, experiment=name, params=params)
+        assert cli.main(["validate", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().out
+        monkeypatch.setitem(cli.EXPERIMENTS, name, None)  # must not run
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_non_finite_eta(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text('{"experiment": "landau-zener", "seed": 1, '
+                        '"params": {"eta_grid": [NaN, Infinity]}}')
+        assert cli.main(["validate", "--config", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert "eta_grid value nan" in out and "eta_grid value inf" in out
+
+    @pytest.mark.parametrize("name,params", [
+        ("landau-zener", {"eta_grid": [0.05, 1.5]}),
+        ("grover", {"n": 3, "marked": [0, 7]}),
+        ("barren-sweep", {"n_values": [1, 12], "ensemble": 2}),
+    ])
+    def test_boundary_values_pass(self, name, params, tmp_path):
+        path, _ = write_cfg(tmp_path, experiment=name, params=params)
+        assert cli.main(["validate", "--config", str(path)]) == 0
+
+
 class TestRun:
     def test_stdout_csv(self, tmp_path, capsys):
         path, cfg = write_cfg(tmp_path)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdesk import simcore as sc
-from qdesk.errors import NotTracePreserving, TargetOutOfRange
+from qdesk.errors import DimensionMismatch, NotTracePreserving, TargetOutOfRange
 
 
 class TestGateApplication:
@@ -38,6 +38,98 @@ class TestGateApplication:
         out_psi = sc.apply_gate(psi, sc.H, [1])
         assert np.abs(out_rho - sc.statevector_to_density(out_psi)).max() \
             < 1e-12
+
+
+def reference_embedding(gate, targets, n):
+    """Dense embedding built column by column from basis states by bit
+    arithmetic alone, independent of the kernel: basis state j maps to
+    sum_r gate[r, c] |j with the target bits set to r>, c being the
+    target bits of j (first target most significant)."""
+    k = len(targets)
+    U = np.zeros((2**n, 2**n), dtype=complex)
+    for j in range(2**n):
+        col = sc.basis_state(n, j)
+        bits = [(j >> (n - 1 - q)) & 1 for q in range(n)]
+        c = sum(bits[t] << (k - 1 - a) for a, t in enumerate(targets))
+        for r in range(2**k):
+            out_bits = list(bits)
+            for a, t in enumerate(targets):
+                out_bits[t] = (r >> (k - 1 - a)) & 1
+            i = sum(b << (n - 1 - q) for q, b in enumerate(out_bits))
+            U[i, j] += gate[r, c] * col[j]
+    return U
+
+
+@st.composite
+def gate_on_register(draw, n=None, max_k=3):
+    """(n, targets, gate, rng) with n <= 6 unless given and a Haar-random
+    gate on an ordered tuple of distinct targets."""
+    n = draw(st.integers(1, 6)) if n is None else n
+    k = draw(st.integers(1, min(n, max_k)))
+    targets = tuple(draw(st.permutations(range(n)))[:k])
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    return n, targets, sc.haar_random_unitary(2**k, rng), rng
+
+
+class TestBatchedKernel:
+    @given(gate_on_register(), st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_batch_equals_row_by_row(self, case, b):
+        n, targets, g, rng = case
+        batch = np.stack([sc.haar_random_state(2**n, rng) for _ in range(b)])
+        out = sc.apply_gate(batch, g, targets)
+        assert out.shape == batch.shape
+        for row, psi in zip(out, batch):
+            assert np.abs(row - sc.apply_gate(psi, g, targets)).max() < 1e-14
+        U = reference_embedding(g, targets, n)
+        assert np.abs(out - batch @ U.T).max() < 1e-12
+
+    @given(gate_on_register())
+    @settings(max_examples=60, deadline=None)
+    def test_expand_gate_matches_reference(self, case):
+        n, targets, g, _ = case
+        U = reference_embedding(g, targets, n)
+        assert np.abs(sc.expand_gate(g, targets, n) - U).max() < 1e-14
+
+    @given(gate_on_register())
+    @settings(max_examples=40, deadline=None)
+    def test_density_conjugation_matches_reference(self, case):
+        n, targets, g, rng = case
+        A = sc.haar_random_unitary(2**n, rng)
+        rho = A @ np.diag(rng.dirichlet(np.ones(2**n))) @ A.conj().T
+        U = reference_embedding(g, targets, n)
+        out = sc.apply_gate_density(rho, g, targets)
+        assert np.abs(out - U @ rho @ U.conj().T).max() < 1e-12
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_circuit_unitary_is_product_of_embeddings(self, data):
+        n = data.draw(st.integers(1, 5))
+        circ = sc.Circuit(n)
+        expect = np.eye(2**n, dtype=complex)
+        for _ in range(data.draw(st.integers(1, 5))):
+            _, targets, g, _ = data.draw(gate_on_register(n=n, max_k=2))
+            circ.add("U", targets, matrix=g)
+            expect = reference_embedding(g, targets, n) @ expect
+        assert np.abs(circ.unitary() - expect).max() < 1e-12
+
+    def test_bad_inputs_still_raise(self):
+        psi = sc.basis_state(3)
+        with pytest.raises(DimensionMismatch):
+            sc.apply_gate(psi.reshape(2, 2, 2), sc.X, [0])
+        with pytest.raises(DimensionMismatch):
+            sc.apply_gate(np.stack([psi, psi]), sc.CNOT, [0])
+        with pytest.raises(DimensionMismatch):
+            sc.apply_gate(np.ones(6), sc.X, [0])
+        for state in (psi, np.stack([psi, psi])):
+            with pytest.raises(TargetOutOfRange):
+                sc.apply_gate(state, sc.CNOT, [1, 1])
+            with pytest.raises(TargetOutOfRange):
+                sc.apply_gate(state, sc.X, [3])
+        with pytest.raises(TargetOutOfRange):
+            sc.expand_gate(sc.CNOT, [2, 2], 3)
+        with pytest.raises(DimensionMismatch):
+            sc.apply_gate_density(np.eye(8)[:4], sc.X, [0])
 
 
 class TestMeasurement:

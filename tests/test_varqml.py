@@ -124,6 +124,32 @@ class TestIsingMappings:
             z = vq.spins_from_bits(bits)
             assert H[i, i].real == pytest.approx(m.energy(z), abs=1e-12)
 
+    @pytest.mark.parametrize("const", [0.0, 0.37])
+    @pytest.mark.parametrize("transverse", [False, True])
+    def test_diagonal_matches_energy_and_hamiltonian(self, const,
+                                                     transverse):
+        rng = np.random.default_rng(12)
+        n = 5
+        J = {(i, j): rng.normal() for i in range(n) for j in range(i + 1, n)
+             if rng.random() < 0.6}
+        h = rng.normal(size=n)
+        h[1] = 0.0
+        c = rng.normal(size=n) if transverse else None
+        m = vq.IsingModel(J, h, const=const, c=c)
+        diag = m.diagonal()
+        for i, bits in enumerate(itertools.product((0, 1), repeat=n)):
+            assert diag[i] == pytest.approx(
+                m.energy(vq.spins_from_bits(bits)), abs=1e-12)
+        for include_const in (True, False):
+            H = m.hamiltonian(include_const)
+            assert np.array_equal(m.diagonal(include_const), np.diag(H))
+        # off the diagonal H holds exactly the sigma^x terms
+        H = m.hamiltonian()
+        X_terms = np.zeros_like(H)
+        for i, ci in enumerate(c if transverse else []):
+            X_terms += ci * sc.pauli_matrix("I" * i + "X" + "I" * (n - 1 - i))
+        assert np.array_equal(H - np.diag(np.diag(H)), X_terms)
+
 
 class TestQAOA:
     def test_triangle_ratio(self):
@@ -219,6 +245,50 @@ class TestBarren:
         exact = vq.case3_variance(H, V, 6)
         asym = vq.case3_variance(H, V, 6, exact=False)
         assert asym == pytest.approx(exact, rel=0.05)
+
+    @staticmethod
+    def random_hermitian(d, rng):
+        A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        return A + A.conj().T
+
+    @staticmethod
+    def dense_commutator_sample(n, H, V, Um, Up):
+        # the direct formula i<chi|[V, Up^dag H Up]|chi>, chi = Um|0>
+        chi = Um @ sc.basis_state(n)
+        M = Up.conj().T @ H @ Up
+        return float((1j * np.vdot(chi, (V @ M - M @ V) @ chi)).real)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_brickwork_sample_matches_dense_commutator(self, n):
+        rng = np.random.default_rng(100 + n)
+        H = self.random_hermitian(2**n, rng)
+        V = self.random_hermitian(2**n, rng)
+        for seed in range(3):
+            fast_rng = np.random.default_rng(seed)
+            ref_rng = np.random.default_rng(seed)
+            fast = vq.barren_gradient_sample(n, H, V, fast_rng)
+            Um = vq.brickwork_unitary(n, 3 * n, ref_rng)
+            Up = vq.brickwork_unitary(n, 3 * n, ref_rng)
+            ref = self.dense_commutator_sample(n, H, V, Um, Up)
+            assert abs(fast - ref) < 1e-12
+            # same gates drawn in the same order: every U- gate, then U+
+            assert fast_rng.bit_generator.state == \
+                ref_rng.bit_generator.state
+
+    def test_haar_sample_matches_dense_commutator(self):
+        for n in (2, 3):
+            rng = np.random.default_rng(200 + n)
+            H = self.random_hermitian(2**n, rng)
+            V = self.random_hermitian(2**n, rng)
+            fast_rng = np.random.default_rng(n)
+            ref_rng = np.random.default_rng(n)
+            fast = vq.barren_gradient_sample(n, H, V, fast_rng, mode="haar")
+            Um = sc.haar_random_unitary(2**n, ref_rng)
+            Up = sc.haar_random_unitary(2**n, ref_rng)
+            assert abs(fast - self.dense_commutator_sample(n, H, V, Um, Up)) \
+                < 1e-12
+            assert fast_rng.bit_generator.state == \
+                ref_rng.bit_generator.state
 
     def test_brickwork_variance_decays(self):
         rng = np.random.default_rng(10)
