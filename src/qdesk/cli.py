@@ -150,7 +150,7 @@ def _exp_gradients(p, rng):
                      fixed=simcore.expand_gate(simcore.H, [0], 2)),
         varqml.Layer([("ZZ", 1.0)]),
     ])
-    O = varqml.hamiltonian_matrix([("ZI", 1.0)], 2)
+    O = simcore.pauli_reconstruct([("ZI", 1.0)], 2)
     theta = rng.uniform(-np.pi, np.pi, 2)
     g_ps = varqml.parameter_shift_gradient(circ, theta, O)
     g_fd = varqml.finite_difference_gradient(
@@ -354,10 +354,21 @@ def _check_barren_sweep(p):
     return errors
 
 
+def _check_mps_norm_bench(p):
+    # no MAX_QUBITS cap: an MPS of N sites never forms the 2^N vector
+    errors = _list_errors(p, "N_values", [], lambda v: _is_int(v) and v >= 2,
+                          "an integer >= 2")
+    D = p.get("D", 4)
+    if not _is_int(D) or D < 1:
+        errors.append("D must be an integer >= 1")
+    return errors
+
+
 PARAM_CHECKS = {
     "landau-zener": _check_landau_zener,
     "grover": _check_grover,
     "barren-sweep": _check_barren_sweep,
+    "mps-norm-bench": _check_mps_norm_bench,
 }
 
 

@@ -7,7 +7,6 @@ Omega = {mu_k - mu_j}, and discrete Fourier coefficient fitting.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -122,67 +121,43 @@ def phase_encode(x) -> np.ndarray:
 
 # --- Hamiltonian-type encodings -------------------------------------------
 
-def generator_eigenvalues(spec: EncodingSpec) -> np.ndarray:
-    """Eigenvalues of the encoding generator G in U(x) = e^{-i x G}."""
+def _z_weights(spec: EncodingSpec) -> list:
+    """Weights w_q of the encoding generator G = sum_q w_q Z_q / 2 of a
+    Hamiltonian-type spec, one qubit q per weight."""
     if spec.kind == "pauli":
         # one Pauli with eigenvalues +-gamma (default gamma = 1)
-        g = spec.params.get("gamma", 1.0)
-        return np.array([-g, g])
+        return [2 * spec.params.get("gamma", 1.0)]
     if spec.kind == "pauli-parallel":
-        r = spec.params["r"]
-        # r parallel sigma_z/2 terms: eigenvalues (p - r)/2, p = 0..r
-        return np.array(
-            sorted({sum(s) / 2 for s in itertools.product((-1, 1), repeat=r)})
-        )
+        return [1.0] * spec.params["r"]
     if spec.kind == "pauli-sequential":
         # sequential repeats reuse the single sigma_z/2 generator per layer
-        return np.array([-0.5, 0.5])
+        return [1.0]
     if spec.kind == "exponential":
-        N = spec.params["N"]
-        l = spec.params.get("l", 3)
-        if l != 3:
+        if spec.params.get("l", 3) != 3:
             raise UnsupportedKind("exponential encoding ships with l = 3")
-        sums = [0.0]
-        for j in range(1, N + 1):
-            beta = 3.0 ** (j - 1)
-            sums = [s + sign * beta / 2 for s in sums for sign in (-1, 1)]
-        return np.array(sorted(set(sums)))
-    raise UnsupportedKind(f"{spec.kind!r} has no generator spectrum")
-
-
-def encoding_unitary(spec: EncodingSpec, x: float) -> np.ndarray:
-    """The encoding gate e^{-i x G} for Hamiltonian-type specs."""
-    if spec.kind == "pauli":
-        g = spec.params.get("gamma", 1.0)
-        return sc.exp_hamiltonian(g * sc.Z, x)
-    if spec.kind == "pauli-parallel":
-        r = spec.params["r"]
-        G = sum(
-            sc.expand_gate(sc.Z / 2, [q], r) for q in range(r)
-        )
-        return sc.exp_hamiltonian(G, x)
-    if spec.kind == "pauli-sequential":
-        return sc.exp_hamiltonian(sc.Z / 2, x)
-    if spec.kind == "exponential":
-        N = spec.params["N"]
-        out = np.array([[1.0 + 0j]])
-        for j in range(1, N + 1):
-            out = np.kron(out, sc.exp_hamiltonian(3.0 ** (j - 1) / 2 * sc.Z, x))
-        return out
+        return [3.0 ** j for j in range(spec.params["N"])]
     raise UnsupportedKind(f"{spec.kind!r} is not a Hamiltonian-type encoding")
 
 
-def _layer_count(spec: EncodingSpec, layers: int) -> int:
-    if spec.kind == "pauli-sequential":
-        return spec.params["r"] * layers
-    return layers
+def generator_eigenvalues(spec: EncodingSpec) -> np.ndarray:
+    """Eigenvalues of the encoding generator G in U(x) = e^{-i x G}: the
+    distinct sums of +-w_q/2."""
+    sums = {0.0}
+    for w in _z_weights(spec):
+        sums = {s + sign * w / 2 for s in sums for sign in (-1, 1)}
+    return np.array(sorted(sums))
+
+
+def encoding_unitary(spec: EncodingSpec, x: float) -> np.ndarray:
+    """The encoding gate e^{-i x G}: a tensor product of rz(w_q x)."""
+    return sc.tensor(*(sc.rz(w * x) for w in _z_weights(spec)))
 
 
 def frequency_spectrum(spec: EncodingSpec, layers: int = 1) -> np.ndarray:
     """Omega = {Lambda_k - Lambda_j} over L-fold sums of generator
     eigenvalues; sorted, symmetric, contains 0."""
     eigs = generator_eigenvalues(spec)
-    L = _layer_count(spec, layers)
+    L = layers * _layer_reps(spec)
     sums = {0.0}
     for _ in range(L):
         sums = {s + e for s in sums for e in eigs}
@@ -193,6 +168,23 @@ def frequency_spectrum(spec: EncodingSpec, layers: int = 1) -> np.ndarray:
 
 # --- Fourier fitting ---------------------------------------------------------
 
+def _sampled_spectrum(model, omegas, oversample: int):
+    """Integer spectrum and the DFT coefficients of the 2*pi-periodic model
+    sampled at K = 2*oversample*max(Omega) + 1 equispaced points, as
+    (ints, {w: c_w} for every |w| <= K // 2, in FFT order)."""
+    omegas = np.asarray(omegas)
+    ints = np.round(omegas).astype(int)
+    if ints.size and np.abs(omegas - ints).max() > 1e-9:
+        raise ValueError("spectrum must be integer-valued for DFT fitting")
+    wmax = int(np.abs(ints).max()) if ints.size else 0
+    K = 2 * oversample * max(wmax, 1) + 1
+    xs = 2 * np.pi * np.arange(K) / K
+    fs = np.array([model(x) for x in xs], dtype=complex)
+    all_c = np.fft.fft(fs) / K  # coefficient of e^{i w x} sits at index w mod K
+    return ints, {(i if i <= K // 2 else i - K): c
+                  for i, c in enumerate(all_c)}
+
+
 def fit_fourier_coefficients(model, omegas, oversample: int = 2) -> dict:
     """Fit f(x) = sum_w c_w e^{iwx} on an integer spectrum.
 
@@ -201,24 +193,9 @@ def fit_fourier_coefficients(model, omegas, oversample: int = 2) -> dict:
     off-spectrum residual power exceeds 1e-8 (the model has frequencies the
     sampling grid cannot separate from Omega).
     """
-    omegas = np.asarray(omegas)
-    ints = np.round(omegas).astype(int)
-    if np.abs(omegas - ints).max() > 1e-9:
-        raise ValueError("spectrum must be integer-valued for DFT fitting")
-    wmax = int(np.abs(ints).max()) if ints.size else 0
-    K = 2 * oversample * max(wmax, 1) + 1
-    xs = 2 * np.pi * np.arange(K) / K
-    fs = np.array([model(x) for x in xs], dtype=complex)
-    all_c = np.fft.fft(fs) / K  # coefficient of e^{i w x} sits at index w mod K
-    coeffs = {}
-    off_power = 0.0
-    for idx in range(K):
-        w = idx if idx <= K // 2 else idx - K
-        c = all_c[w % K]
-        if w in ints:
-            coeffs[int(w)] = complex(c)
-        else:
-            off_power += abs(c) ** 2
+    ints, all_c = _sampled_spectrum(model, omegas, oversample)
+    coeffs = {int(w): complex(c) for w, c in all_c.items() if w in ints}
+    off_power = sum(abs(c) ** 2 for w, c in all_c.items() if w not in ints)
     if off_power > 1e-8:
         raise AliasedSpectrum(
             f"off-spectrum power {off_power:.3e} exceeds tolerance"
@@ -227,19 +204,10 @@ def fit_fourier_coefficients(model, omegas, oversample: int = 2) -> dict:
 
 
 def off_spectrum_power(model, omegas, oversample: int = 4) -> float:
-    """Total squared coefficient mass outside Omega (diagnostic)."""
-    omegas = np.round(np.asarray(omegas)).astype(int)
-    wmax = int(np.abs(omegas).max()) if omegas.size else 0
-    K = 2 * oversample * max(wmax, 1) + 1
-    xs = 2 * np.pi * np.arange(K) / K
-    fs = np.array([model(x) for x in xs], dtype=complex)
-    all_c = np.fft.fft(fs) / K
-    power = 0.0
-    for idx in range(K):
-        w = idx if idx <= K // 2 else idx - K
-        if w not in omegas:
-            power += abs(all_c[w % K]) ** 2
-    return float(power)
+    """Total squared coefficient mass outside the integer spectrum Omega
+    (diagnostic)."""
+    ints, all_c = _sampled_spectrum(model, omegas, oversample)
+    return float(sum(abs(c) ** 2 for w, c in all_c.items() if w not in ints))
 
 
 def encoding_model(spec: EncodingSpec, trainables, observable,

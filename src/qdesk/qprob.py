@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import simcore as sc
 from .errors import (
     DimensionMismatch,
     InfiniteDivergence,
@@ -22,12 +23,6 @@ from .errors import (
 
 EIG_CLIP = 1e-14  # spectral floor before taking logs
 MAJ_TOL = 1e-12
-
-SIGMA = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
 
 
 def check_prob_vector(p, tol: float = 1e-12) -> np.ndarray:
@@ -233,12 +228,12 @@ def bloch_to_density(tau) -> np.ndarray:
     if np.dot(tau, tau) > 1.0 + 1e-12:
         raise OutsideBlochBall(f"|tau| = {np.linalg.norm(tau)} > 1")
     return (np.eye(2, dtype=complex)
-            + sum(t * s for t, s in zip(tau, SIGMA))) / 2
+            + sum(t * s for t, s in zip(tau, (sc.X, sc.Y, sc.Z)))) / 2
 
 
 def density_to_bloch(rho) -> np.ndarray:
     rho = check_density_matrix(rho)
-    return np.array([np.trace(rho @ s).real for s in SIGMA])
+    return np.array([np.trace(rho @ s).real for s in (sc.X, sc.Y, sc.Z)])
 
 
 def sic_qubit_povm():

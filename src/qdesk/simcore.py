@@ -9,6 +9,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -102,6 +103,15 @@ def _axis_orders(n: int, targets: tuple, batched: bool):
     return tuple(order), tuple(int(i) for i in np.argsort(order))
 
 
+def _register_width(state: np.ndarray) -> int:
+    """Qubit count of one state (2^n,) or a batch of states (b, 2^n)."""
+    if state.ndim not in (1, 2):
+        raise DimensionMismatch(
+            f"state of shape {state.shape} is neither (2^n,) nor (b, 2^n)"
+        )
+    return n_qubits(state.shape[-1])
+
+
 def apply_gate(state: np.ndarray, gate: np.ndarray, targets) -> np.ndarray:
     """Apply a 2^k x 2^k unitary to the given target qubits.
 
@@ -111,17 +121,13 @@ def apply_gate(state: np.ndarray, gate: np.ndarray, targets) -> np.ndarray:
     state, pull the target axes to the front and hit them with the matrix.
     No 2^n x 2^n matrix is ever built.
     """
-    if state.ndim not in (1, 2):
-        raise DimensionMismatch(
-            f"state of shape {state.shape} is neither (2^n,) nor (b, 2^n)"
-        )
+    n = _register_width(state)
     targets = tuple(targets)
     k = len(targets)
     if gate.shape != (2**k, 2**k):
         raise DimensionMismatch(
             f"gate of shape {gate.shape} does not act on {k} qubits"
         )
-    n = n_qubits(state.shape[-1])
     batch = state.shape[:-1]
     order, inverse = _axis_orders(n, targets, bool(batch))
     psi = state.reshape(batch + (2,) * n).transpose(order).reshape(2**k, -1)
@@ -194,11 +200,44 @@ def kraus_apply(rho: np.ndarray, ops, tol: float = 1e-8) -> np.ndarray:
     return sum(A @ rho @ A.conj().T for A in ops)
 
 
+@functools.lru_cache(maxsize=1024)
+def _pauli_action(label: str):
+    """Bit-index action of a Pauli string, qubit 0 the most significant bit:
+    P|j> = i^{#Y} (-1)^{popcount(j & zmask)} |j ^ xmask>. Returned as
+    read-only (cols, phases): row k of P holds its one nonzero entry,
+    phases[k], in column cols[k] = k ^ xmask."""
+    if set(label) - set(PAULIS):
+        raise KeyError(f"{label!r} is not a Pauli string")
+    xmask = int("0" + label.translate(str.maketrans("IXYZ", "0110")), 2)
+    zmask = int("0" + label.translate(str.maketrans("IXYZ", "0011")), 2)
+    cols = np.arange(2 ** len(label)) ^ xmask
+    parity = cols & zmask
+    for shift in (32, 16, 8, 4, 2, 1):  # fold the popcount parity to bit 0
+        parity ^= parity >> shift
+    phases = ((1, 1j, -1, -1j)[label.count("Y") % 4]
+              * (1 - 2 * (parity & 1))).astype(complex)
+    for a in (cols, phases):
+        a.setflags(write=False)
+    return cols, phases
+
+
 def pauli_matrix(label: str) -> np.ndarray:
-    out = np.array([[1.0 + 0j]])
-    for c in label:
-        out = np.kron(out, PAULIS[c])
+    """Dense 2^n x 2^n matrix of a Pauli string such as "XIZ"."""
+    cols, phases = _pauli_action(label)
+    out = np.zeros((cols.size, cols.size), dtype=complex)
+    out[np.arange(cols.size), cols] = phases
     return out
+
+
+def apply_pauli(state: np.ndarray, label: str) -> np.ndarray:
+    """P|psi> for a Pauli string P on one state (2^n,) or a batch (b, 2^n),
+    one per row, by a permutation and a phase per amplitude."""
+    n = _register_width(state)
+    if len(label) != n:
+        raise DimensionMismatch(f"Pauli string {label!r} does not act on "
+                                f"{n} qubits")
+    cols, phases = _pauli_action(label)
+    return phases * state[..., cols]
 
 
 _PAULI_STACK = np.stack([I2, X, Y, Z])  # index order matches "IXYZ"
@@ -223,16 +262,9 @@ def pauli_decompose(Hm: np.ndarray, tol: float = 0.0):
     coeffs = np.einsum(
         spec, *([_PAULI_STACK] * n), Hm.reshape([2] * (2 * n)), optimize=True
     ) / dim
-    flat = coeffs.reshape(-1)
-    all_labels = ["".join(t) for t in _pauli_labels(n)]
-    return [(lab, flat[i]) for i, lab in enumerate(all_labels)
-            if abs(flat[i]) > tol]
-
-
-def _pauli_labels(n: int):
-    import itertools
-
-    return itertools.product("IXYZ", repeat=n)
+    labels = ("".join(t) for t in itertools.product("IXYZ", repeat=n))
+    return [(lab, c) for lab, c in zip(labels, coeffs.reshape(-1))
+            if abs(c) > tol]
 
 
 def pauli_reconstruct(terms, n: int) -> np.ndarray:

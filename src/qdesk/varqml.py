@@ -23,13 +23,9 @@ from .errors import (
     DimensionMismatch,
     IncompleteProjectors,
     IntegratorDiverged,
+    NotHermitian,
     UnsupportedGenerator,
 )
-
-
-def hamiltonian_matrix(terms, n: int) -> np.ndarray:
-    """Dense matrix of a Pauli-term list [(label, coeff), ...]."""
-    return sc.pauli_reconstruct(terms, n)
 
 
 @dataclass
@@ -38,9 +34,6 @@ class Layer:
 
     generator: list  # [(pauli label, real coeff), ...]
     fixed: np.ndarray | None = None
-
-    def generator_matrix(self, n: int) -> np.ndarray:
-        return hamiltonian_matrix(self.generator, n)
 
 
 @dataclass
@@ -59,7 +52,16 @@ class ParamCircuit:
         for th, layer in zip(theta, self.layers):
             if layer.fixed is not None:
                 psi = layer.fixed @ psi
-            psi = sc.exp_hamiltonian(layer.generator_matrix(self.n), th) @ psi
+            if len(layer.generator) == 1:  # e^{-iaP} = cos a - i sin a P
+                label, c = layer.generator[0]
+                if not np.isclose(c, np.conj(c), atol=1e-10):
+                    raise NotHermitian(f"coefficient {c!r} is not real")
+                a = np.real(c) * th
+                psi = np.cos(a) * psi - 1j * np.sin(a) * sc.apply_pauli(
+                    psi, label)
+            else:
+                G = sc.pauli_reconstruct(layer.generator, self.n)
+                psi = sc.exp_hamiltonian(G, th) @ psi
         return psi
 
 
@@ -118,25 +120,22 @@ class GradientEstimate:
     samples: int
 
 
-def _shifted_cost(circ: ParamCircuit, theta, O, psi0, t: int,
-                  V: np.ndarray, s: float, sign: float) -> float:
-    """Cost with layer t's e^{-iX} replaced by
-    e^{-i s X} e^{-i sign pi/4 V} e^{-i (1-s) X}."""
-    psi = sc.basis_state(circ.n) if psi0 is None else np.asarray(
-        psi0, dtype=complex
-    )
-    for k, (th, layer) in enumerate(zip(theta, circ.layers)):
-        if layer.fixed is not None:
-            psi = layer.fixed @ psi
-        Xm = th * layer.generator_matrix(circ.n)
-        if k == t:
-            psi = sc.exp_hamiltonian(Xm, 1 - s) @ psi
-            psi = sc.exp_hamiltonian(V, sign * np.pi / 4) @ psi
-            psi = sc.exp_hamiltonian(Xm, s) @ psi
-        else:
-            psi = sc.exp_hamiltonian(Xm, 1.0) @ psi
-    O = np.asarray(O, dtype=complex)
-    return float(np.vdot(psi, O @ psi).real)
+def _shift_integrand(circ: ParamCircuit, theta, O, psi0, t: int,
+                     label: str, s: float) -> float:
+    """g(s) = C_+(s) - C_-(s): the cost with layer t's e^{-iX},
+    X = theta_t G_t, replaced by e^{-i s X} e^{-+i pi/4 V} e^{-i (1-s) X},
+    V the Pauli string `label`. Layer t is split into three layers, the
+    first carrying t's fixed gate."""
+    layer, th = circ.layers[t], list(theta)
+    split = ParamCircuit(circ.n, circ.layers[:t] + [
+        layer, Layer([(label, 1.0)]), Layer(layer.generator)]
+        + circ.layers[t + 1:])
+
+    def cost(v):
+        angles = th[:t] + [(1 - s) * th[t], v, s * th[t]] + th[t + 1:]
+        return cost_expectation(split, angles, O, psi0)
+
+    return cost(np.pi / 4) - cost(-np.pi / 4)
 
 
 def stochastic_parameter_shift(circ: ParamCircuit, t: int, label: str,
@@ -148,12 +147,8 @@ def stochastic_parameter_shift(circ: ParamCircuit, t: int, label: str,
     generator X_t = theta_t * G_t. For s ~ U(0,1) the integrand
     g(s) = C_+(s) - C_-(s) averages to the derivative.
     """
-    V = sc.pauli_matrix(label)
-    vals = np.empty(samples)
-    for i in range(samples):
-        s = rng.random()
-        vals[i] = (_shifted_cost(circ, theta, O, psi0, t, V, s, +1.0)
-                   - _shifted_cost(circ, theta, O, psi0, t, V, s, -1.0))
+    vals = np.array([_shift_integrand(circ, theta, O, psi0, t, label,
+                                      rng.random()) for _ in range(samples)])
     return GradientEstimate(
         float(vals.mean()),
         float(vals.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0,
@@ -165,15 +160,11 @@ def exact_x_gradient(circ: ParamCircuit, t: int, label: str, theta, O,
                      psi0=None, quad_points: int = 64) -> float:
     """Deterministic dC/dx_{t,label} by Gauss-Legendre quadrature of the
     shift-rule integrand (oracle for the stochastic estimator)."""
-    V = sc.pauli_matrix(label)
     nodes, weights = np.polynomial.legendre.leggauss(quad_points)
     s = (nodes + 1) / 2
     w = weights / 2
-    total = 0.0
-    for si, wi in zip(s, w):
-        total += wi * (_shifted_cost(circ, theta, O, psi0, t, V, si, +1.0)
-                       - _shifted_cost(circ, theta, O, psi0, t, V, si, -1.0))
-    return float(total)
+    return float(sum(wi * _shift_integrand(circ, theta, O, psi0, t, label, si)
+                     for si, wi in zip(s, w)))
 
 
 # --- VQE ---------------------------------------------------------------------
@@ -259,10 +250,9 @@ class IsingModel:
     def hamiltonian(self, include_const: bool = True) -> np.ndarray:
         Hm = np.diag(self.diagonal(include_const)).astype(complex)
         if self.c is not None:
-            idx = np.arange(2**self.n)
-            for i, ci in enumerate(self.c):
-                if ci:  # sigma^x_i flips bit i of the index
-                    Hm[idx, idx ^ (1 << (self.n - 1 - i))] += ci
+            Hm += sc.pauli_reconstruct(
+                [("I" * i + "X" + "I" * (self.n - 1 - i), ci)
+                 for i, ci in enumerate(self.c)], self.n)
         return Hm
 
 
@@ -350,7 +340,7 @@ def qaoa_state(model: IsingModel, gammas, betas) -> np.ndarray:
     for g, b in zip(gammas, betas):
         psi = np.exp(-1j * g * diag) * psi
         # e^{-i b X} factorizes per qubit
-        rxg = sc.exp_hamiltonian(sc.X, b)
+        rxg = sc.rx(2 * b)
         for q in range(n):
             psi = sc.apply_gate(psi, rxg, [q])
     return psi
@@ -473,10 +463,7 @@ def gibbs_pair_prepare(T: float, n: int) -> np.ndarray:
     rho_pair = np.outer(pair, pair.conj())
     # trace out the ancilla (second qubit of the pair)
     rho1 = np.trace(rho_pair.reshape(2, 2, 2, 2), axis1=1, axis2=3)
-    rho = np.array([[1.0 + 0j]])
-    for _ in range(n):
-        rho = np.kron(rho, rho1)
-    return rho
+    return sc.tensor(*[rho1] * n)
 
 
 def tfim_gibbs(model: IsingModel, T: float):
@@ -782,11 +769,12 @@ def dqc1_model(circ_layers, x_gates, theta) -> float:
     circ_layers: list of (label,) generators (one Pauli per trainable
     layer); x_gates: list of fixed (data-dependent) unitaries, one per
     slot, applied before each trainable layer."""
-    n = len(circ_layers[0][0])
     gates = []
     for k, (lab,) in enumerate(circ_layers):
         gates.append(np.asarray(x_gates[k], dtype=complex))
-        gates.append(sc.exp_hamiltonian(sc.pauli_matrix(lab), theta[k]))
+        P = sc.pauli_matrix(lab)
+        gates.append(np.cos(theta[k]) * np.eye(len(P))
+                     - 1j * np.sin(theta[k]) * P)
     return dqc1_model_value(gates)
 
 

@@ -301,7 +301,7 @@ def test_criterion_13_landau_zener_and_adiabatic():
             prob = varqml.landau_zener(1.0, math.sqrt(eta))
             formula = math.exp(-2 * math.pi * eta)
             assert abs(prob - formula) <= 0.05 * formula
-        H0 = -varqml.hamiltonian_matrix([("XI", 1.0), ("IX", 1.0)], 2)
+        H0 = -simcore.pauli_reconstruct([("XI", 1.0), ("IX", 1.0)], 2)
         model = varqml.IsingModel({(0, 1): 0.7}, np.array([0.3, -0.5]))
         H1 = model.hamiltonian()
         infid = {}

@@ -72,6 +72,8 @@ class TestParamBoundary:
          "n_values value 13"),
         ("barren-sweep", {"n_values": [0], "ensemble": 20},
          "n_values value 0"),
+        ("mps-norm-bench", {"N_values": [1]}, "N_values value 1"),
+        ("mps-norm-bench", {"D": 0}, "D must be an integer >= 1"),
     ]
 
     @pytest.mark.parametrize("name,params,message", BAD)
@@ -96,6 +98,7 @@ class TestParamBoundary:
         ("landau-zener", {"eta_grid": [0.05, 1.5]}),
         ("grover", {"n": 3, "marked": [0, 7]}),
         ("barren-sweep", {"n_values": [1, 12], "ensemble": 2}),
+        ("mps-norm-bench", {"N_values": [2, 16], "D": 1}),
     ])
     def test_boundary_values_pass(self, name, params, tmp_path):
         path, _ = write_cfg(tmp_path, experiment=name, params=params)

@@ -105,6 +105,20 @@ class TestSpectra:
         with pytest.raises(UnsupportedKind):
             encode.generator_eigenvalues(spec)
 
+    @pytest.mark.parametrize("spec,G", [
+        (encode.EncodingSpec("pauli", {}), sc.Z),
+        (encode.EncodingSpec("pauli", {"gamma": 0.7}), 0.7 * sc.Z),
+        (encode.EncodingSpec("pauli-parallel", {"r": 3}),
+         sc.pauli_reconstruct([("ZII", 0.5), ("IZI", 0.5), ("IIZ", 0.5)], 3)),
+        (encode.EncodingSpec("pauli-sequential", {"r": 2}), sc.Z / 2),
+        (encode.EncodingSpec("exponential", {"N": 3}),
+         sc.pauli_reconstruct([("ZII", 0.5), ("IZI", 1.5), ("IIZ", 4.5)], 3)),
+    ], ids=["pauli", "pauli-gamma", "parallel", "sequential", "exponential"])
+    def test_unitary_matches_exponential(self, spec, G):
+        for x in (-2.3, 0.0, 0.7, 1.9):
+            U = encode.encoding_unitary(spec, x)
+            assert np.abs(U - sc.exp_hamiltonian(G, x)).max() < 1e-14
+
     def test_unitary_matches_spectrum(self):
         spec = encode.EncodingSpec("pauli-parallel", {"r": 2})
         U = encode.encoding_unitary(spec, 0.7)
@@ -156,6 +170,13 @@ class TestFourierFit:
             f = encode.encoding_model(spec, W, O)
             om = encode.frequency_spectrum(spec)
             assert encode.off_spectrum_power(f, om) < 1e-10
+
+    def test_non_integer_spectrum_rejected(self):
+        f = lambda x: np.cos(x / 2)  # noqa: E731
+        with pytest.raises(ValueError, match="integer-valued"):
+            encode.off_spectrum_power(f, [-0.5, 0, 0.5])
+        with pytest.raises(ValueError, match="integer-valued"):
+            encode.fit_fourier_coefficients(f, [-0.5, 0, 0.5])
 
     def test_aliasing_detected(self):
         # fitting on a spectrum that misses the model's frequencies

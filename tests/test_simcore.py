@@ -1,5 +1,7 @@
 """Statevector/density-matrix core: gates, measurement, channels, Pauli
 algebra, Haar sampling, circuit serialization."""
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -130,6 +132,53 @@ class TestBatchedKernel:
             sc.expand_gate(sc.CNOT, [2, 2], 3)
         with pytest.raises(DimensionMismatch):
             sc.apply_gate_density(np.eye(8)[:4], sc.X, [0])
+
+
+def kron_pauli(label):
+    """Pauli string as a kron product of the single-qubit matrices."""
+    out = np.array([[1.0 + 0j]])
+    for c in label:
+        out = np.kron(out, sc.PAULIS[c])
+    return out
+
+
+pauli_labels = st.integers(1, 6).flatmap(
+    lambda n: st.text("IXYZ", min_size=n, max_size=n))
+
+
+class TestPauliAction:
+    def test_matrix_equals_kron_for_every_label_up_to_4_qubits(self):
+        count = 0
+        for n in range(1, 5):
+            for letters in itertools.product("IXYZ", repeat=n):
+                label = "".join(letters)
+                assert np.array_equal(sc.pauli_matrix(label),
+                                      kron_pauli(label)), label
+                count += 1
+        assert count == 340
+
+    @given(pauli_labels, st.integers(1, 3), st.integers(0, 2**31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_apply_equals_matrix_row_by_row(self, label, b, seed):
+        rng = np.random.default_rng(seed)
+        dim = 2 ** len(label)
+        batch = np.stack([sc.haar_random_state(dim, rng) for _ in range(b)])
+        P = sc.pauli_matrix(label)
+        out = sc.apply_pauli(batch, label)
+        assert out.shape == batch.shape
+        for row, psi in zip(out, batch):
+            single = sc.apply_pauli(psi, label)
+            assert np.array_equal(row, single)
+            assert np.abs(single - P @ psi).max() < 1e-14
+
+    def test_label_length_must_match_register(self):
+        psi = sc.basis_state(3)
+        for state in (psi, np.stack([psi, psi])):
+            for label in ("XY", "XYZI"):
+                with pytest.raises(DimensionMismatch):
+                    sc.apply_pauli(state, label)
+        with pytest.raises(DimensionMismatch):
+            sc.apply_pauli(psi.reshape(2, 2, 2), "XYZ")
 
 
 class TestMeasurement:

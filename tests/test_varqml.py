@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from qdesk import simcore as sc, varqml as vq
+from qdesk.encode import EncodingSpec, encoding_unitary
 from qdesk.errors import IntegratorDiverged, UnsupportedGenerator
+from qdesk.errors import NotHermitian
 
 
 def two_qubit_circuit():
@@ -18,7 +20,7 @@ def two_qubit_circuit():
     ])
 
 
-OBS = vq.hamiltonian_matrix([("ZZ", 1.0), ("XI", 0.5)], 2)
+OBS = sc.pauli_reconstruct([("ZZ", 1.0), ("XI", 0.5)], 2)
 
 
 class TestParameterShift:
@@ -77,10 +79,101 @@ class TestStochasticShift:
         assert abs(est.value - exact) < 5 * est.stderr + 1e-12
 
 
+class TestSinglePauliClosedForm:
+    """Single-Pauli generators are rotated by cos(a) - i sin(a) P; each
+    site equals exp_hamiltonian of the same generator."""
+
+    def test_layer_state_matches_exponential(self):
+        rng = np.random.default_rng(20)
+        for n in (1, 2, 3, 4):
+            for _ in range(10):
+                label = "".join(rng.choice(list("IXYZ"), n))
+                c, th = rng.normal(), rng.uniform(-np.pi, np.pi)
+                psi = sc.haar_random_state(2**n, rng)
+                circ = vq.ParamCircuit(n, [vq.Layer([(label, c)])])
+                ref = sc.exp_hamiltonian(c * sc.pauli_matrix(label), th) @ psi
+                assert np.abs(circ.state([th], psi) - ref).max() < 1e-14
+
+    def test_complex_coefficient_not_hermitian(self):
+        circ = vq.ParamCircuit(2, [vq.Layer([("XZ", 1.0 + 0.5j)])])
+        with pytest.raises(NotHermitian):
+            circ.state([0.3])
+
+    def test_shift_integrand_matches_exponentials(self):
+        rng = np.random.default_rng(21)
+        circ = TestStochasticShift()._circ()
+        th = np.array([0.9, -0.5])
+
+        def shifted_cost(t, label, s, sign):
+            # layer t's e^{-iX} replaced by three exponentials, written out
+            V = sc.exp_hamiltonian(sc.pauli_matrix(label), sign * np.pi / 4)
+            psi = sc.basis_state(2)
+            for k, (a, layer) in enumerate(zip(th, circ.layers)):
+                if layer.fixed is not None:
+                    psi = layer.fixed @ psi
+                G = a * sc.pauli_reconstruct(layer.generator, 2)
+                if k == t:
+                    psi = sc.exp_hamiltonian(G, s) @ V \
+                        @ sc.exp_hamiltonian(G, 1 - s) @ psi
+                else:
+                    psi = sc.exp_hamiltonian(G, 1.0) @ psi
+            return np.vdot(psi, OBS @ psi).real
+
+        for t, label in ((0, "ZZ"), (1, "YX"), (1, "IZ")):
+            for s in rng.random(3):
+                ref = shifted_cost(t, label, s, 1.0) \
+                    - shifted_cost(t, label, s, -1.0)
+                got = vq._shift_integrand(circ, th, OBS, None, t, label, s)
+                assert abs(got - ref) < 1e-14
+
+    def test_dqc1_model_matches_exponentials(self):
+        rng = np.random.default_rng(22)
+        layers = [("XZ",), ("YI",), ("ZY",)]
+        xg = [sc.haar_random_unitary(4, rng) for _ in range(3)]
+        th = rng.uniform(-np.pi, np.pi, 3)
+        ref = vq.dqc1_model_value([
+            g for (lab,), x, a in zip(layers, xg, th)
+            for g in (x, sc.exp_hamiltonian(sc.pauli_matrix(lab), a))])
+        assert abs(vq.dqc1_model(layers, xg, th) - ref) < 1e-14
+
+    def test_qaoa_mixer_matches_exponential(self):
+        rng = np.random.default_rng(23)
+        model = vq.maxcut_to_ising([(0, 1), (1, 2), (0, 2)])
+        for b in rng.uniform(-np.pi, np.pi, 20):
+            assert np.abs(sc.rx(2 * b)
+                          - sc.exp_hamiltonian(sc.X, b)).max() < 1e-14
+        gammas, betas = rng.uniform(0, np.pi, (2, 2))
+        H0 = sc.pauli_reconstruct([("XII", 1.0), ("IXI", 1.0), ("IIX", 1.0)],
+                                  3)
+        psi = np.full(8, 1 / np.sqrt(8), dtype=complex)
+        for g, b in zip(gammas, betas):
+            psi = sc.exp_hamiltonian(H0, b) @ (
+                np.exp(-1j * g * model.diagonal(include_const=False)) * psi)
+        assert np.abs(vq.qaoa_state(model, gammas, betas) - psi).max() < 1e-14
+
+    def test_single_pauli_paths_never_call_exp_hamiltonian(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("exp_hamiltonian on a single Pauli string")
+
+        monkeypatch.setattr(sc, "exp_hamiltonian", refuse)
+        model = vq.maxcut_to_ising([(0, 1), (1, 2)])
+        vq.qaoa_state(model, [0.4, 0.1], [0.7, -0.2])
+        vq.dqc1_model([("XZ",), ("YI",)], [np.eye(4)] * 2, [0.3, 0.5])
+        for spec in (EncodingSpec("pauli", {"gamma": 0.5}),
+                     EncodingSpec("pauli-parallel", {"r": 3}),
+                     EncodingSpec("pauli-sequential", {"r": 2}),
+                     EncodingSpec("exponential", {"N": 2})):
+            encoding_unitary(spec, 0.8)
+        circ = two_qubit_circuit()
+        th = [0.2, -0.4, 1.1]
+        vq.cost_expectation(circ, th, OBS)
+        vq.parameter_shift_gradient(circ, th, OBS)
+
+
 class TestVQE:
     def test_finds_ground_state_energy(self):
-        H = vq.hamiltonian_matrix([("ZZ", 1.0), ("XI", 0.3), ("IX", 0.3)],
-                                  2)
+        H = sc.pauli_reconstruct([("ZZ", 1.0), ("XI", 0.3), ("IX", 0.3)],
+                                 2)
         circ = vq.ParamCircuit(2, [
             vq.Layer([("YI", 1.0)]),
             vq.Layer([("IY", 1.0)]),
@@ -365,7 +458,7 @@ class TestMagnusPropagator:
         assert out.nfev == 2 + 3 * math.ceil(8 * math.hypot(4, 1) / 0.25)
 
     def test_unresolvable_hamiltonian_raises(self):
-        H0 = -vq.hamiltonian_matrix([("XI", 1.0), ("IX", 1.0)], 2)
+        H0 = -sc.pauli_reconstruct([("XI", 1.0), ("IX", 1.0)], 2)
         H1 = vq.IsingModel({(0, 1): 0.7}, np.array([0.3, -0.5])).hamiltonian()
         with pytest.raises(IntegratorDiverged, match="too fast"):
             vq.adiabatic_follow(H0, H1, 8.0, lambda s: (s * 1e7) % 1.0)
@@ -389,7 +482,7 @@ class TestStepHalving:
     @pytest.mark.parametrize("schedule", [None, lambda s: s**2, fast_schedule],
                              ids=["linear", "quadratic", "fast"])
     def test_adiabatic_follow(self, monkeypatch, schedule):
-        H0 = -vq.hamiltonian_matrix([("XI", 1.0), ("IX", 1.0)], 2)
+        H0 = -sc.pauli_reconstruct([("XI", 1.0), ("IX", 1.0)], 2)
         H1 = vq.IsingModel({(0, 1): 0.7}, np.array([0.3, -0.5])).hamiltonian()
         f, f_fine = at_default_and_half_step(monkeypatch, lambda: np.array(
             [vq.adiabatic_follow(H0, H1, T, schedule)[1]
@@ -401,7 +494,7 @@ class TestLossProfile:
     def test_std_grows_with_cube_width(self):
         rng = np.random.default_rng(11)
         circ = two_qubit_circuit()
-        H = vq.hamiltonian_matrix([("ZI", 1.0)], 2)
+        H = sc.pauli_reconstruct([("ZI", 1.0)], 2)
         th, _ = vq.vqe(H, circ, rng=rng, lr=0.2, steps=150)
         prof = vq.loss_std_profile(circ, H, th, [0.05, 0.2, 0.8], 200, rng)
         vals = list(prof.values())
