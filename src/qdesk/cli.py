@@ -20,6 +20,8 @@ from . import tnet, varqml
 
 
 def _fmt(v):
+    if isinstance(v, np.generic):  # numpy 2 reprs carry the type name
+        v = v.item()
     if isinstance(v, float):
         return repr(v)
     return str(v)
@@ -316,6 +318,11 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_finite(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) \
+        and math.isfinite(v)
+
+
 def _list_errors(p, key, default, ok, want) -> list:
     values = p.get(key, default)
     if not isinstance(values, list):
@@ -324,11 +331,9 @@ def _list_errors(p, key, default, ok, want) -> list:
 
 
 def _check_landau_zener(p):
-    return _list_errors(
-        p, "eta_grid", [],
-        lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
-        and math.isfinite(v) and v > 0,
-        "a finite number > 0")
+    return _list_errors(p, "eta_grid", [],
+                        lambda v: _is_finite(v) and v > 0,
+                        "a finite number > 0")
 
 
 def _check_grover(p):
@@ -364,11 +369,25 @@ def _check_mps_norm_bench(p):
     return errors
 
 
+def _check_anomaly(p):
+    errors = []
+    for key, default, low in (("N", 6, 1), ("M", 10, 1), ("S", 2, 1),
+                              ("steps", 60, 0)):
+        v = p.get(key, default)
+        if not _is_int(v) or v < low:
+            errors.append(f"{key} must be an integer >= {low}")
+    alpha = p.get("alpha", 0.05)
+    if not _is_finite(alpha) or alpha < 0:
+        errors.append("alpha must be a finite number >= 0")
+    return errors
+
+
 PARAM_CHECKS = {
     "landau-zener": _check_landau_zener,
     "grover": _check_grover,
     "barren-sweep": _check_barren_sweep,
     "mps-norm-bench": _check_mps_norm_bench,
+    "anomaly": _check_anomaly,
 }
 
 

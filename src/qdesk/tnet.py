@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadLength, DimensionMismatch
+from .errors import BadLength, DimensionMismatch, UnsupportedKind
 
 
 def _sign_fix(U: np.ndarray, Vh: np.ndarray):
@@ -334,18 +333,70 @@ def _unflatten(vec, template):
     return out
 
 
+# parameter rows x samples contracted at once: bounds the sweep's memory
+_SWEEP_BUDGET = 4096
+
+
+def _features(samples, d: int) -> np.ndarray:
+    """trig_embedding of every site of every sample, shape (M, N, d)."""
+    if len({np.size(x) for x in samples}) != 1:
+        raise DimensionMismatch("need samples, all of one length")
+    x = np.array([np.atleast_1d(xi) for xi in samples], dtype=float)
+    v = np.cos(np.pi * x[..., None] / 2 - np.pi * np.arange(d) / d)
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def _batched_loss(thetas, feats, template, alpha: float) -> np.ndarray:
+    """anomaly_loss of every row of `thetas` (B, P), each row the flattened
+    cores of a projector shaped like `template`, over embedded samples
+    `feats` (M, N, d). Returns shape (B,).
+
+    One left-to-right sweep carries, per row, an (M, Dl, Dl) environment
+    for D(x) = ||P Phi(x)||^2 and a (Dl, Dl) one for ||P||_F^2, indexed
+    (ket, bra); the bra leg is conjugated. A site costs
+    O(d d_out D^2 + d_out D^3) per row and sample. Output sites are read
+    from the core shapes, as in ProjectorMPS.apply."""
+    M, N, d = feats.shape
+    if len(template) != N or any(c.shape[1] != d for c in template):
+        raise DimensionMismatch(
+            f"model of {len(template)} sites does not take samples of "
+            f"{N} sites with {d} features")
+    chunk = max(1, _SWEEP_BUDGET // M)
+    out = []
+    for start in range(0, len(thetas), chunk):
+        rows = thetas[start:start + chunk]
+        B = len(rows)
+        env = np.ones((B, M, 1, 1))
+        fro = np.ones((B, 1, 1))
+        pos = 0
+        for core, f in zip(template, feats.transpose(1, 0, 2)):
+            Dl, Dr = core.shape[0], core.shape[-1]
+            C = rows[:, pos:pos + core.size].reshape(B, Dl, d, -1)
+            pos += core.size
+            # ||P||_F^2: both physical legs summed
+            tmp = (fro @ C.conj().reshape(B, Dl, -1)).reshape(B, -1, Dr)
+            fro = C.reshape(B, -1, Dr).swapaxes(1, 2) @ tmp
+            # D(x): input leg contracted with the features of each sample
+            # (B, M, Dl, d_out * Dr), d_out = 1 off the output sites
+            A = (f @ C).swapaxes(1, 2)
+            tmp = (env @ A.conj()).reshape(B, M, -1, Dr)
+            env = A.reshape(B, M, -1, Dr).swapaxes(2, 3) @ tmp
+        dev = np.abs(np.log(np.maximum(env[:, :, 0, 0].real, 1e-300)) - 1.0)
+        loss = dev.mean(axis=1)
+        if alpha:
+            loss += alpha * np.log(np.maximum(
+                np.sqrt(np.maximum(fro[:, 0, 0].real, 0.0)), 1e-300))
+        out.append(loss)
+    return np.concatenate(out)
+
+
 def anomaly_loss(model: ProjectorMPS, train, alpha: float) -> float:
     """L = (1/M) sum_x |log D(x) - 1| + alpha log ||P||_F with
     D(x) = ||P Phi(x)||_2^2, so the per-sample optimum sits at
     ||P Phi(x)|| = sqrt(e)."""
-    total = 0.0
-    for x in train:
-        D = anomaly_score(model, x) ** 2
-        total += abs(math.log(max(D, 1e-300)) - 1.0)
-    total /= len(train)
-    if alpha:
-        total += alpha * math.log(max(projector_frobenius(model), 1e-300))
-    return total
+    theta = _flatten(model.cores)[None]
+    return float(_batched_loss(theta, _features(train, model.d),
+                               model.cores, alpha)[0])
 
 
 def anomaly_fit(train, S: int, alpha: float, d: int = 2, D: int = 2,
@@ -355,40 +406,45 @@ def anomaly_fit(train, S: int, alpha: float, d: int = 2, D: int = 2,
     """Gradient descent with backtracking on the projector cores; the
     accepted-step loss sequence is non-increasing.
 
+    The samples are embedded once. Each step's central-difference gradient
+    over the P real core entries is one batched sweep over the N sites
+    (`_batched_loss`) of the 2P probe rows theta +- h e_i; each
+    line-search candidate is a one-row sweep. A given `model` must have
+    real cores and N sites of input dimension d.
+
     Returns (model, loss history)."""
     rng = rng or np.random.default_rng()
-    N = len(np.atleast_1d(train[0]))
+    feats = _features(train, d)
     if model is None:
-        model = _random_projector(N, S, d, D, rng)
-    theta = _flatten(model.cores).real.copy()  # real parameterization
+        model = _random_projector(feats.shape[1], S, d, D, rng)
+    theta = _flatten(model.cores)
+    if np.any(theta.imag != 0):
+        raise UnsupportedKind("anomaly_fit fits real cores; the model's "
+                              "cores have imaginary parts")
+    theta = theta.real
     template = model.cores
 
-    def build(vec):
-        return ProjectorMPS(
-            [c.astype(complex) for c in _unflatten(vec, template)], S, d
-        )
+    def loss(rows):
+        return _batched_loss(rows, feats, template, alpha)
 
-    def loss(vec):
-        return anomaly_loss(build(vec), train, alpha)
-
-    history = [loss(theta)]
+    history = [float(loss(theta[None])[0])]
     step = lr
+    h = 1e-6
+    P = theta.size
+    diag = np.arange(P)
     for _ in range(steps):
-        g = np.zeros_like(theta)
-        h = 1e-6
-        for i in range(theta.size):
-            up = theta.copy()
-            up[i] += h
-            dn = theta.copy()
-            dn[i] -= h
-            g[i] = (loss(up) - loss(dn)) / (2 * h)
+        probes = np.tile(theta, (2 * P, 1))
+        probes[diag, diag] += h
+        probes[P + diag, diag] -= h
+        L = loss(probes)
+        g = (L[:P] - L[P:]) / (2 * h)
         gn = np.linalg.norm(g)
         if gn < 1e-12:
             break
         accepted = False
         while step > 1e-10:
             cand = theta - step * g
-            lc = loss(cand)
+            lc = float(loss(cand[None])[0])
             if lc <= history[-1]:
                 theta = cand
                 history.append(lc)
@@ -398,4 +454,5 @@ def anomaly_fit(train, S: int, alpha: float, d: int = 2, D: int = 2,
             step /= 2
         if not accepted:
             break
-    return build(theta), history
+    cores = [c.astype(complex) for c in _unflatten(theta, template)]
+    return ProjectorMPS(cores, S, d), history

@@ -74,6 +74,13 @@ class TestParamBoundary:
          "n_values value 0"),
         ("mps-norm-bench", {"N_values": [1]}, "N_values value 1"),
         ("mps-norm-bench", {"D": 0}, "D must be an integer >= 1"),
+        ("anomaly", {"S": 0}, "S must be an integer >= 1"),
+        ("anomaly", {"N": 4, "M": 0}, "M must be an integer >= 1"),
+        ("anomaly", {"N": 0}, "N must be an integer >= 1"),
+        ("anomaly", {"N": 4.0}, "N must be an integer >= 1"),
+        ("anomaly", {"steps": -1}, "steps must be an integer >= 0"),
+        ("anomaly", {"alpha": -0.1}, "alpha must be a finite number >= 0"),
+        ("anomaly", {"alpha": "0.05"}, "alpha must be a finite number"),
     ]
 
     @pytest.mark.parametrize("name,params,message", BAD)
@@ -99,10 +106,18 @@ class TestParamBoundary:
         ("grover", {"n": 3, "marked": [0, 7]}),
         ("barren-sweep", {"n_values": [1, 12], "ensemble": 2}),
         ("mps-norm-bench", {"N_values": [2, 16], "D": 1}),
+        ("anomaly", {"N": 3, "M": 1, "S": 4, "steps": 0, "alpha": 0}),
     ])
     def test_boundary_values_pass(self, name, params, tmp_path):
         path, _ = write_cfg(tmp_path, experiment=name, params=params)
         assert cli.main(["validate", "--config", str(path)]) == 0
+
+    def test_anomaly_without_output_site_runs(self, tmp_path, capsys):
+        # S > N: no site carries an output leg, P maps to a scalar
+        path, _ = write_cfg(tmp_path, experiment="anomaly",
+                            params={"N": 3, "M": 2, "S": 4, "steps": 2})
+        assert cli.main(["run", "--config", str(path)]) == 0
+        assert "final_loss,mean_score,target" in capsys.readouterr().out
 
 
 class TestRun:
@@ -147,6 +162,18 @@ class TestRun:
         second = cli.run_config(dict(cfg_obj))
         assert first == second
         assert first.encode() == second.encode()
+
+    @pytest.mark.parametrize("name", sorted(cli.EXPERIMENTS))
+    def test_cells_are_plain_values(self, name):
+        # numpy scalars are written as numbers, never as "np.float64(...)"
+        cfg = {"experiment": name, "seed": 11,
+               "params": self.SMALL_PARAMS.get(name, {})}
+        rows = json.loads(cli.run_config(dict(cfg, format="json")))["rows"]
+        csv = cli.run_config(dict(cfg, format="csv"))
+        cells = [c for r in rows for c in r]
+        cells += [c for line in csv.splitlines()
+                  if not line.startswith("#") for c in line.split(",")]
+        assert not [c for c in cells if c.startswith("np.")]
 
     def test_seed_override_changes_hash(self, tmp_path):
         path, cfg = write_cfg(tmp_path)

@@ -231,3 +231,125 @@ class TestAnomalyFit:
         out_dev = abs(tnet.anomaly_score(model, np.array([-0.5] * 4))
                       - target)
         assert out_dev > 3 * in_dev
+
+
+def dense_loss(model, train, alpha):
+    """The anomaly loss from the dense projector matrix."""
+    P = tnet.projector_to_dense(model)
+    total = 0.0
+    for x in train:
+        phi = np.ones(1)
+        for xi in x:
+            phi = np.kron(phi, tnet.trig_embedding(xi, model.d))
+        total += abs(math.log(np.linalg.norm(P @ phi) ** 2) - 1.0)
+    return total / len(train) + alpha * math.log(np.linalg.norm(P))
+
+
+def complex_projector(N, S, d, D, rng):
+    model = tnet._random_projector(N, S, d, D, rng)
+    model.cores = [c + 0.5j * rng.normal(size=c.shape) for c in model.cores]
+    return model
+
+
+class TestBatchedLoss:
+    @pytest.mark.parametrize("N", range(2, 7))
+    def test_matches_dense_projector(self, N):
+        rng = np.random.default_rng(40 + N)
+        for S in (1, 2, 3, N + 1):
+            for d in (2, 3):
+                for D in (1, 2, 3):
+                    for make in (tnet._random_projector, complex_projector):
+                        model = make(N, S, d, D, rng)
+                        train = [rng.uniform(-1, 1, size=N)
+                                 for _ in range(3)]
+                        ref = dense_loss(model, train, 0.1)
+                        assert tnet.anomaly_loss(model, train, 0.1) == \
+                            pytest.approx(ref, abs=1e-12 * max(1, abs(ref)))
+
+    def test_batch_equals_rows(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        model = complex_projector(5, 2, 3, 3, rng)
+        train = [rng.uniform(-1, 1, size=5) for _ in range(4)]
+        feats = tnet._features(train, 3)
+        theta = tnet._flatten(model.cores)
+        rows = theta + 0.1 * rng.normal(size=(10, theta.size))
+        one_by_one = [tnet._batched_loss(r[None], feats, model.cores, 0.2)[0]
+                      for r in rows]
+        # three rows per chunk: the batch is split over four chunks
+        monkeypatch.setattr(tnet, "_SWEEP_BUDGET", 3 * len(train))
+        batch = tnet._batched_loss(rows, feats, model.cores, 0.2)
+        assert batch.shape == (10,)
+        assert np.allclose(batch, one_by_one, rtol=1e-13, atol=0)
+
+    def test_first_gradient_is_per_probe_central_difference(self):
+        rng = np.random.default_rng(42)
+        train = [0.5 + 0.05 * rng.standard_normal(5) for _ in range(4)]
+        start = tnet._random_projector(5, 2, 2, 2, np.random.default_rng(7))
+        theta0 = tnet._flatten(start.cores).real
+        lr = 1e-3  # small enough that the first candidate is accepted
+        fitted, hist = tnet.anomaly_fit(train, S=2, alpha=0.05, steps=1,
+                                        lr=lr, rng=np.random.default_rng(7))
+        assert len(hist) == 2
+        g_fit = (theta0 - tnet._flatten(fitted.cores).real) / lr
+
+        def loss(vec):
+            model = tnet.ProjectorMPS(
+                [c + 0j for c in tnet._unflatten(vec, start.cores)], 2, 2)
+            dev = [abs(math.log(tnet.anomaly_score(model, x) ** 2) - 1.0)
+                   for x in train]
+            return np.mean(dev) + 0.05 * math.log(
+                tnet.projector_frobenius(model))
+
+        h = 1e-6
+        g_ref = np.array([(loss(theta0 + h * e) - loss(theta0 - h * e))
+                          / (2 * h) for e in np.eye(theta0.size)])
+        assert np.linalg.norm(g_fit - g_ref) <= \
+            1e-6 * np.linalg.norm(g_ref)
+
+    def test_fit_runs_without_per_sample_contraction(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-sample path called")
+
+        monkeypatch.setattr(tnet.ProjectorMPS, "apply", refuse)
+        monkeypatch.setattr(tnet, "mps_norm", refuse)
+        monkeypatch.setattr(tnet, "embed_sample", refuse)
+        rng = np.random.default_rng(43)
+        train = [0.5 + 0.05 * rng.standard_normal(4) for _ in range(3)]
+        _, hist = tnet.anomaly_fit(train, S=2, alpha=0.05, steps=3,
+                                   rng=np.random.default_rng(44))
+        assert len(hist) >= 2
+
+    def test_zero_steps_returns_initial_draw(self):
+        rng = np.random.default_rng(45)
+        train = [rng.uniform(-1, 1, size=6) for _ in range(3)]
+        ref = tnet._random_projector(6, 3, 2, 2, np.random.default_rng(46))
+        model, hist = tnet.anomaly_fit(train, S=3, alpha=0.1, steps=0,
+                                       rng=np.random.default_rng(46))
+        for a, b in zip(model.cores, ref.cores):
+            assert np.array_equal(a, b)
+        assert hist == [pytest.approx(tnet.anomaly_loss(ref, train, 0.1),
+                                      abs=1e-12)]
+
+    def test_complex_model_rejected(self):
+        from qdesk.errors import UnsupportedKind
+        model = complex_projector(4, 2, 2, 2, np.random.default_rng(47))
+        train = [np.full(4, 0.5)]
+        with pytest.raises(UnsupportedKind):
+            tnet.anomaly_fit(train, S=2, alpha=0.05, steps=1, model=model)
+
+    @pytest.mark.parametrize("N,d", [(5, 2), (3, 2), (4, 3)])
+    def test_model_shape_mismatch(self, N, d, monkeypatch):
+        # the sweep would raise TypeError on reaching _SWEEP_BUDGET
+        monkeypatch.setattr(tnet, "_SWEEP_BUDGET", None)
+        model = tnet._random_projector(4, 2, 2, 2, np.random.default_rng(48))
+        train = [np.full(N, 0.5)]
+        with pytest.raises(DimensionMismatch):
+            tnet.anomaly_fit(train, S=2, alpha=0.05, d=d, steps=1,
+                             model=model)
+
+    def test_ragged_samples_rejected(self):
+        model = tnet._random_projector(4, 2, 2, 2, np.random.default_rng(49))
+        with pytest.raises(DimensionMismatch):
+            tnet.anomaly_loss(model, [np.zeros(4), np.zeros(3)], 0.05)
+        with pytest.raises(DimensionMismatch):
+            tnet.anomaly_loss(model, [np.zeros(3)], 0.05)
