@@ -73,6 +73,10 @@ class BadLength(QdeskError, ValueError):
     pass
 
 
+class BadParameter(QdeskError, ValueError):
+    """A parameter that is missing, not finite, or outside its range."""
+
+
 class UnsupportedKind(QdeskError, ValueError):
     pass
 

@@ -11,11 +11,13 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
+    BadParameter,
     DimensionMismatch,
     NotHermitian,
     NotTracePreserving,
@@ -340,44 +342,110 @@ class CircuitOp:
         raise KeyError(f"unknown gate {self.name!r}")
 
 
+_REAL = (int, float, np.integer, np.floating)
+
+
+def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a (x) b of two 2x2 matrices by one broadcast product (no np.kron)."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+
+
 @dataclass
 class Circuit:
     n: int
     ops: list[CircuitOp] = field(default_factory=list)
 
+    def __post_init__(self):
+        ops, self.ops = self.ops, []
+        for op in ops:  # the same checks as ops added one by one
+            self.add(op.name, op.targets, op.param, op.matrix)
+
     def add(self, name, targets, param=None, matrix=None):
+        """Append one op. Bad targets, a `measure` on other than one qubit,
+        an unknown gate name, a rotation without a finite angle and a gate
+        whose size does not match its targets raise here, before any 2^n
+        work. The op is stored as given; its matrix is resolved at run."""
         targets = tuple(targets) if not isinstance(targets, int) else (targets,)
-        if len(set(targets)) != len(targets) or any(
-            not 0 <= q < self.n for q in targets
-        ):
+        if (not targets or len(set(targets)) != len(targets)
+                or min(targets) < 0 or max(targets) >= self.n):
             raise TargetOutOfRange(f"bad targets {targets} for n={self.n}")
+        if name == "measure":
+            if len(targets) != 1:
+                raise TargetOutOfRange(
+                    f"measure takes exactly one target, got {targets}")
+        else:
+            if matrix is not None:
+                shape = np.shape(matrix)
+            elif name in FIXED_GATES:
+                shape = FIXED_GATES[name].shape
+            elif name in GATE_FACTORIES:
+                if not (isinstance(param, _REAL) and math.isfinite(param)):
+                    raise BadParameter(
+                        f"gate {name!r} needs a finite param, got {param!r}")
+                shape = (2, 2)
+            else:
+                raise KeyError(f"unknown gate {name!r}")
+            dim = 2 ** len(targets)
+            if shape != (dim, dim):
+                raise DimensionMismatch(f"gate {name!r} of shape {shape} "
+                                        f"does not act on targets {targets}")
         self.ops.append(CircuitOp(name, targets, param, matrix))
         return self
 
     def gate_count(self) -> int:
         return sum(1 for op in self.ops if op.name != "measure")
 
+    def _blocks(self):
+        """The ops fused into blocks, yielded in order as (gate, targets);
+        gate is None for a measurement.
+
+        One-qubit gates multiply into a pending 2x2 product per qubit. A
+        two-qubit op on (a, b) absorbs both as U (P_a (x) P_b), qubit a the
+        left factor. An op on three or more qubits and a measurement are
+        barriers: the pending products of their own qubits are flushed
+        first, as one-qubit blocks. The rest are flushed at the end."""
+        pending = {}
+        for op in self.ops:
+            t = op.targets
+            if op.name == "measure" or len(t) > 2:
+                for q in t:
+                    if q in pending:
+                        yield pending.pop(q), (q,)
+                yield (None if op.name == "measure" else op.resolve()), t
+            elif len(t) == 1:
+                g = op.resolve()
+                pending[t[0]] = g @ pending[t[0]] if t[0] in pending else g
+            else:
+                g = op.resolve()
+                a, b = t
+                if a in pending or b in pending:
+                    g = g @ _kron2(pending.pop(a, I2), pending.pop(b, I2))
+                yield g, t
+        for q, g in pending.items():
+            yield g, (q,)
+
     def unitary(self) -> np.ndarray:
         # row i of the batch carries basis state i through the circuit
         U = np.eye(2**self.n, dtype=complex)
-        for op in self.ops:
-            if op.name == "measure":
+        for gate, targets in self._blocks():
+            if gate is None:
                 raise ValueError("circuit with measurements has no unitary")
-            U = apply_gate(U, op.resolve(), op.targets)
+            U = apply_gate(U, gate, targets)
         return U.T
 
     def run(self, state=None, rng=None):
-        """Execute the circuit. Returns (state, dict of measured bits)."""
+        """Execute the circuit, fused block by block. Returns (state, dict
+        of measured bits)."""
         psi = basis_state(self.n) if state is None else state.astype(complex)
         bits = {}
-        for op in self.ops:
-            if op.name == "measure":
+        for gate, targets in self._blocks():
+            if gate is None:
                 if rng is None:
                     raise ValueError("measurement requires an rng")
-                bit, psi = measure(psi, op.targets[0], rng)
-                bits[op.targets[0]] = bit
+                bit, psi = measure(psi, targets[0], rng)
+                bits[targets[0]] = bit
             else:
-                psi = apply_gate(psi, op.resolve(), list(op.targets))
+                psi = apply_gate(psi, gate, targets)
         return psi, bits
 
 

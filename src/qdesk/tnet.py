@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadLength, DimensionMismatch, UnsupportedKind
+from .errors import BadLength, BadParameter, DimensionMismatch, UnsupportedKind
 
 
 def _sign_fix(U: np.ndarray, Vh: np.ndarray):
@@ -304,8 +305,16 @@ def anomaly_score(model: ProjectorMPS, x, return_ops: bool = False):
     return (val, ops1 + ops2) if return_ops else val
 
 
+def _check_counts(**counts):
+    for name, v in counts.items():
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral) \
+                or v < 1:
+            raise BadParameter(f"{name} must be an integer >= 1, got {v!r}")
+
+
 def _random_projector(N: int, S: int, d: int, D: int,
                       rng: np.random.Generator) -> ProjectorMPS:
+    _check_counts(S=S, d=d, D=D)
     cores = []
     left = 1
     for p in range(N):
@@ -410,9 +419,11 @@ def anomaly_fit(train, S: int, alpha: float, d: int = 2, D: int = 2,
     over the P real core entries is one batched sweep over the N sites
     (`_batched_loss`) of the 2P probe rows theta +- h e_i; each
     line-search candidate is a one-row sweep. A given `model` must have
-    real cores and N sites of input dimension d.
+    real cores and N sites of input dimension d. S, d and D must be
+    integers >= 1.
 
     Returns (model, loss history)."""
+    _check_counts(S=S, d=d, D=D)
     rng = rng or np.random.default_rng()
     feats = _features(train, d)
     if model is None:

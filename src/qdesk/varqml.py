@@ -334,8 +334,12 @@ def solve_qubo_brute_force(Q, b=None):
 def qaoa_state(model: IsingModel, gammas, betas) -> np.ndarray:
     """|psi> = prod_j e^{-i beta_j H0} e^{-i gamma_j H1} |+...+> with the
     sigma^x mixer H0 = sum sigma^x_i."""
-    n = model.n
-    diag = model.diagonal(include_const=False)
+    return _qaoa_state(model.n, model.diagonal(include_const=False),
+                       gammas, betas)
+
+
+def _qaoa_state(n: int, diag, gammas, betas) -> np.ndarray:
+    """qaoa_state from the precomputed phase diagonal (no constant)."""
     psi = np.full(2**n, 1 / np.sqrt(2**n), dtype=complex)
     for g, b in zip(gammas, betas):
         psi = np.exp(-1j * g * diag) * psi
@@ -354,12 +358,14 @@ def qaoa(model: IsingModel, p: int, rng: np.random.Generator,
     compares the expected energy against the brute-force optimum.
     """
     n = model.n
-    diag_e = model.diagonal()
+    # built once: every state below reads the same energy diagonal
+    diag_phase = model.diagonal(include_const=False)
+    diag_e = diag_phase + model.const
     e_min = diag_e.min()
     e_max = diag_e.max()
 
     def expected(angles):
-        psi = qaoa_state(model, angles[:p], angles[p:])
+        psi = _qaoa_state(n, diag_phase, angles[:p], angles[p:])
         return float(np.sum(np.abs(psi) ** 2 * diag_e))
 
     best_angles, best_val = None, np.inf
@@ -371,7 +377,7 @@ def qaoa(model: IsingModel, p: int, rng: np.random.Generator,
         )
         if hist[-1] < best_val:
             best_val, best_angles = hist[-1], angles
-    psi = qaoa_state(model, best_angles[:p], best_angles[p:])
+    psi = _qaoa_state(n, diag_phase, best_angles[:p], best_angles[p:])
     probs = np.abs(psi) ** 2
     best_idx = int(np.argmax(probs))
     bits = tuple((best_idx >> (n - 1 - q)) & 1 for q in range(n))

@@ -1,6 +1,7 @@
 """Statevector/density-matrix core: gates, measurement, channels, Pauli
 algebra, Haar sampling, circuit serialization."""
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdesk import simcore as sc
-from qdesk.errors import DimensionMismatch, NotTracePreserving, TargetOutOfRange
+from qdesk.errors import (DimensionMismatch, NotTracePreserving, QdeskError,
+                          TargetOutOfRange)
 
 
 class TestGateApplication:
@@ -332,3 +334,206 @@ class TestCircuit:
         s2, b2 = c.run(rng=np.random.default_rng(11))
         assert b1 == b2
         assert np.array_equal(s1, s2)
+
+
+class TestCircuitAddChecks:
+    """Each bad op raises in `add`, before any 2^n work, and
+    `circuit_from_json` inherits the check."""
+
+    @staticmethod
+    def _json(op):
+        return json.dumps({"n": 2, "ops": [op]})
+
+    def test_measure_takes_one_target(self):
+        with pytest.raises(TargetOutOfRange):
+            sc.Circuit(2).add("measure", [0, 1])
+        with pytest.raises(TargetOutOfRange):
+            sc.circuit_from_json(self._json(
+                {"gate": "measure", "targets": [0, 1]}))
+
+    @pytest.mark.parametrize("param", [None, float("nan"), float("inf"),
+                                       "0.3", 1j])
+    def test_rotation_needs_finite_param(self, param):
+        with pytest.raises(QdeskError):
+            sc.Circuit(1).add("RX", [0], param=param)
+
+    def test_rotation_param_from_json(self):
+        with pytest.raises(QdeskError):
+            sc.circuit_from_json(self._json({"gate": "RZ", "targets": [1]}))
+
+    def test_matrix_must_fit_targets(self):
+        with pytest.raises(DimensionMismatch):
+            sc.Circuit(2).add("U", [0], matrix=np.eye(4))
+        with pytest.raises(DimensionMismatch):
+            sc.Circuit(2).add("CNOT", [1])
+        with pytest.raises(DimensionMismatch):
+            sc.Circuit(2).add("RY", [0, 1], param=0.2)
+        eye4 = [[[float(i == j), 0.0] for j in range(4)] for i in range(4)]
+        with pytest.raises(DimensionMismatch):
+            sc.circuit_from_json(self._json(
+                {"gate": "U", "targets": [0], "matrix": eye4}))
+
+    def test_unknown_gate_name(self):
+        with pytest.raises(KeyError):
+            sc.Circuit(2).add("FOO", [0])
+        with pytest.raises(KeyError):
+            sc.circuit_from_json(self._json({"gate": "FOO", "targets": [0]}))
+
+    def test_ops_given_to_the_constructor(self):
+        with pytest.raises(DimensionMismatch):
+            sc.Circuit(2, [sc.CircuitOp("U", (0,), None, np.eye(4))])
+        ops = [sc.CircuitOp("H", (1,)), sc.CircuitOp("CZ", (0, 1))]
+        assert sc.Circuit(2, ops).ops == ops
+
+    def test_empty_targets(self):
+        with pytest.raises(TargetOutOfRange):
+            sc.Circuit(2).add("U", [], matrix=np.eye(1))
+
+    def test_ops_stored_as_given(self):
+        c = sc.Circuit(2).add("H", [0]).add("RX", [1], param=0.5)
+        c.add("CZ", [1, 0]).add("measure", [1])
+        assert all(op.matrix is None for op in c.ops)
+        assert sc.circuit_to_json(c) == (
+            '{"n": 2, "ops": [{"gate": "H", "targets": [0]}, '
+            '{"gate": "RX", "targets": [1], "param": 0.5}, '
+            '{"gate": "CZ", "targets": [1, 0]}, '
+            '{"gate": "measure", "targets": [1]}]}')
+
+
+def op_by_op(circ, state, rng=None):
+    """The circuit run one op at a time through `apply_gate`, unfused."""
+    psi, bits = state, {}
+    for op in circ.ops:
+        if op.name == "measure":
+            bits[op.targets[0]], psi = sc.measure(psi, op.targets[0], rng)
+        else:
+            psi = sc.apply_gate(psi, op.resolve(), op.targets)
+    return psi, bits
+
+
+@st.composite
+def gate_list(draw, barriers=True):
+    """(circuit, rng) on n <= 6 qubits: named and Haar-random one-, two-
+    and three-qubit ops on targets in any order, and measurements."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    circ = sc.Circuit(n)
+    for _ in range(draw(st.integers(0, 24))):
+        if barriers and draw(st.integers(0, 7)) == 0:
+            circ.add("measure", [draw(st.integers(0, n - 1))])
+            continue
+        k = draw(st.sampled_from([1, 1, 2, 2, 3]))
+        targets = draw(st.permutations(range(n)))[:min(k, n)]
+        if len(targets) == 2 and n > 1 and draw(st.booleans()):
+            t = draw(st.integers(0, n - 2))  # a brickwork pair, either way
+            targets = [t + 1, t] if draw(st.booleans()) else [t, t + 1]
+        named = {1: ["H", "T", "RX", "RZ"], 2: ["CNOT", "CZ", "SWAP"]}
+        if len(targets) in named and draw(st.booleans()):
+            name = draw(st.sampled_from(named[len(targets)]))
+            circ.add(name, targets, param=(float(rng.uniform(-4, 4))
+                                           if name.startswith("R") else None))
+        else:
+            circ.add("U", targets,
+                     matrix=sc.haar_random_unitary(2 ** len(targets), rng))
+    return circ, rng
+
+
+class TestGateFusion:
+    @given(gate_list())
+    @settings(max_examples=80, deadline=None)
+    def test_run_matches_op_by_op(self, case):
+        circ, rng = case
+        psi0 = sc.haar_random_state(2**circ.n, rng)
+        seed = int(rng.integers(2**31))
+        fused, bits = circ.run(psi0, rng=np.random.default_rng(seed))
+        ref, ref_bits = op_by_op(circ, psi0, np.random.default_rng(seed))
+        assert bits == ref_bits
+        assert np.abs(fused - ref).max() < 1e-12
+
+    @given(gate_list(barriers=False))
+    @settings(max_examples=60, deadline=None)
+    def test_unitary_matches_op_by_op(self, case):
+        circ, _ = case
+        # row i of the batch carries basis state i, as in Circuit.unitary
+        ref, _ = op_by_op(circ, np.eye(2**circ.n, dtype=complex))
+        assert np.abs(circ.unitary() - ref.T).max() < 1e-12
+
+    def test_seeded_bits_match_op_by_op(self):
+        circ = sc.Circuit(4)
+        for q in range(4):
+            circ.add("H", [q]).add("RY", [q], param=0.3 * (q + 1))
+        circ.add("CNOT", [1, 0]).add("measure", [0]).add("RX", [1], 0.8)
+        circ.add("CZ", [2, 3]).add("measure", [3]).add("measure", [1])
+        circ.add("SWAP", [0, 2]).add("measure", [2])
+        for seed in range(40):
+            psi, bits = circ.run(rng=np.random.default_rng(seed))
+            ref, ref_bits = op_by_op(circ, sc.basis_state(4),
+                                     np.random.default_rng(seed))
+            assert bits == ref_bits
+            assert np.abs(psi - ref).max() < 1e-12
+        assert len({tuple(circ.run(rng=np.random.default_rng(s))[1].values())
+                    for s in range(40)}) > 1
+
+    def test_block_order_matches_expand_gate_products(self):
+        rng = np.random.default_rng(3)
+        A, B, C, D = (sc.haar_random_unitary(2, rng) for _ in range(4))
+        G = sc.haar_random_unitary(4, rng)
+        F = sc.haar_random_unitary(8, rng)
+        circ = sc.Circuit(4)
+        circ.add("U", [0], matrix=A).add("U", [1], matrix=C)
+        circ.add("U", [0], matrix=B).add("U", [3], matrix=D)
+        circ.add("U", [1, 0], matrix=G)  # absorbs C on 1, then B A on 0
+        circ.add("U", [3], matrix=A)     # joins D on 3, pending
+        circ.add("U", [2], matrix=C)
+        circ.add("U", [2, 3, 1], matrix=F)  # flushes 2 and 3 first
+        circ.add("U", [0], matrix=D)     # pending to the end
+        blocks = list(circ._blocks())
+        assert [t for _, t in blocks] == [(1, 0), (2,), (3,), (2, 3, 1),
+                                          (0,)]
+
+        def emb(g, t):
+            return sc.expand_gate(g, t, 4)
+
+        expect = [emb(G, (1, 0)) @ emb(C, [1]) @ emb(B, [0]) @ emb(A, [0]),
+                  emb(C, [2]), emb(A, [3]) @ emb(D, [3]),
+                  emb(F, (2, 3, 1)), emb(D, [0])]
+        for (g, t), e in zip(blocks, expect):
+            assert np.abs(emb(g, t) - e).max() < 1e-12
+
+    def test_measure_is_a_barrier_on_its_own_qubit(self):
+        circ = sc.Circuit(2).add("H", [0]).add("X", [1])
+        circ.add("measure", [0]).add("Z", [0]).add("CNOT", [0, 1])
+        assert [(g is None, t) for g, t in circ._blocks()] == [
+            (False, (0,)), (True, (0,)), (False, (0, 1))]
+
+    def test_brickwork_call_count(self, monkeypatch):
+        # one call per two-qubit gate, plus a final flush of the qubits
+        # that the last layer (offset 1) leaves unpaired: 0 and n - 1
+        n, depth = 6, 8
+        circ, pairs = sc.Circuit(n), 0
+        for layer in range(depth):
+            for q in range(n):
+                circ.add("RY", [q], param=0.1 * (q + layer))
+            for t in range(layer % 2, n - 1, 2):
+                circ.add("CZ", [t + 1, t] if t % 4 else [t, t + 1])
+                pairs += 1
+        calls = []
+        apply_gate = sc.apply_gate
+        monkeypatch.setattr(sc, "apply_gate",
+                            lambda *a: calls.append(a) or apply_gate(*a))
+        circ.run()
+        assert len(calls) == pairs + 2
+
+    def test_no_kron(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        circ = sc.Circuit(3).add("H", [0]).add("RX", [1], param=0.4)
+        circ.add("U", [2, 1], matrix=sc.haar_random_unitary(4, rng))
+        circ.add("T", [2]).add("CNOT", [0, 2])
+        ref, _ = op_by_op(circ, sc.basis_state(3))
+
+        def no_kron(*args):
+            raise AssertionError("np.kron called")
+
+        monkeypatch.setattr(sc.np, "kron", no_kron)
+        assert np.abs(circ.run()[0] - ref).max() < 1e-12
+        assert np.abs(circ.unitary() @ sc.basis_state(3) - ref).max() < 1e-12

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdesk import tnet
-from qdesk.errors import DimensionMismatch
+from qdesk.errors import BadParameter, DimensionMismatch
 
 
 def random_tensor(shape, seed):
@@ -353,3 +353,24 @@ class TestBatchedLoss:
             tnet.anomaly_loss(model, [np.zeros(4), np.zeros(3)], 0.05)
         with pytest.raises(DimensionMismatch):
             tnet.anomaly_loss(model, [np.zeros(3)], 0.05)
+
+
+class TestCountChecks:
+    """S, d and D are checked at the library boundary, not only by the
+    CLI: each bad value raises BadParameter naming the parameter."""
+
+    @pytest.mark.parametrize("name,value", [
+        ("S", 0), ("S", -1), ("S", 1.5), ("D", 0), ("D", 2.0), ("d", 0),
+    ])
+    def test_anomaly_fit(self, name, value):
+        kw = {"S": 2, "d": 2, "D": 2, name: value}
+        train = [np.full(4, 0.5)]
+        with pytest.raises(BadParameter, match=rf"\b{name}\b"):
+            tnet.anomaly_fit(train, alpha=0.05, steps=1,
+                             rng=np.random.default_rng(50), **kw)
+
+    @pytest.mark.parametrize("name,value", [("S", 0), ("D", 0), ("d", 0)])
+    def test_random_projector(self, name, value):
+        kw = {"S": 2, "d": 2, "D": 2, name: value}
+        with pytest.raises(BadParameter, match=rf"\b{name}\b"):
+            tnet._random_projector(4, rng=np.random.default_rng(51), **kw)

@@ -259,6 +259,29 @@ class TestQAOA:
         assert ratio > 0.5
 
 
+    def test_diagonal_built_once(self, monkeypatch):
+        model = vq.maxcut_to_ising([(0, 1), (1, 2), (0, 2)])
+        calls = []
+        diagonal = vq.IsingModel.diagonal
+
+        def counted(self, *args, **kwargs):
+            calls.append(args or kwargs)
+            return diagonal(self, *args, **kwargs)
+
+        monkeypatch.setattr(vq.IsingModel, "diagonal", counted)
+        vq.qaoa(model, p=1, rng=np.random.default_rng(6), restarts=2,
+                steps=5)
+        assert len(calls) == 1
+
+    def test_private_state_matches_public(self):
+        model = vq.IsingModel({(0, 1): 0.7, (1, 2): -0.4},
+                              np.array([0.2, 0.0, -0.5]), const=1.3)
+        gammas, betas = [0.4, -0.9], [0.7, 0.25]
+        diag = model.diagonal(include_const=False)
+        assert np.array_equal(vq._qaoa_state(3, diag, gammas, betas),
+                              vq.qaoa_state(model, gammas, betas))
+
+
 class TestQBoost:
     def test_qubo_equals_direct_loss(self):
         rng = np.random.default_rng(6)
