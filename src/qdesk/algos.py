@@ -14,6 +14,7 @@ import numpy as np
 from . import simcore as sc
 from .errors import (
     AllSolutions,
+    BadParameter,
     DimensionMismatch,
     NoSolutions,
     NotAnEigenvector,
@@ -158,6 +159,9 @@ def qpe_register_amplitudes(phi: float, n_anc: int) -> np.ndarray:
 
 
 def qpe_ancilla_bits(t_bits: int, epsilon: float) -> int:
+    """Ancillas for t_bits of the phase with failure probability epsilon."""
+    if not 0 < epsilon < 1:
+        raise BadParameter(f"epsilon must lie in (0, 1), got {epsilon!r}")
     return t_bits + math.ceil(math.log2(2 + 1 / (2 * epsilon)))
 
 

@@ -4,11 +4,14 @@ Subcommands: run, list, validate. Configs are JSON objects
 {"experiment": name, "params": {...}, "seed": int, "out": path,
 "format": "csv"|"json"}. A fixed config and seed produce byte-identical
 output files. Exit codes: 0 success, 1 experiment failure, 2 config error.
+Each experiment declares its params once, in `@experiment`; `validate` and
+`run` both check a config against that declaration before the body runs.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import math
 import sys
@@ -17,6 +20,7 @@ import numpy as np
 
 from . import __version__, algos, dequant, encode, qkernel, qprob, simcore
 from . import tnet, varqml
+from .errors import BadParameter
 
 
 def _fmt(v):
@@ -27,21 +31,74 @@ def _fmt(v):
     return str(v)
 
 
-# --- experiments ------------------------------------------------------------
-# Each returns (columns, rows); rows are lists of scalars.
+# --- parameter rules: (test, description) pairs ----------------------------
 
-def _exp_entropy(p, rng):
-    dist = p.get("p", [0.5, 0.25, 0.125, 0.125])
-    u = np.full(len(dist), 1 / len(dist))
+MAX_QUBITS = 12
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def Int(lo, hi=math.inf) -> tuple:
+    """An integer in lo..hi."""
+    desc = f"an integer in {lo}..{hi}" if hi < math.inf \
+        else f"an integer >= {lo}"
+    return (lambda v: _is_int(v) and lo <= v <= hi), desc
+
+
+def Num(lo, closed=True, hi=math.inf) -> tuple:
+    """A finite number >= lo (> lo unless `closed`) and < hi."""
+    desc = f"a finite number {'>=' if closed else '>'} {lo}"
+    desc += f" and < {hi}" if hi < math.inf else ""
+    return (lambda v: (_is_int(v) or isinstance(v, float)
+                       and math.isfinite(v)) and v < hi
+            and (lo <= v if closed else lo < v), desc)
+
+
+def Pair(rule) -> tuple:
+    """A list of two items, each passing `rule`."""
+    test, desc = rule
+    return (lambda v: isinstance(v, list) and len(v) == 2
+            and all(map(test, v)), f"a list of two items, each {desc}")
+
+
+class Each(tuple):
+    """A list whose every item passes the wrapped rule."""
+
+
+# --- experiments ------------------------------------------------------------
+# Each body returns (columns, rows); rows are lists of scalars.
+
+EXPERIMENTS = {}  # name -> body
+PARAMS = {}  # name -> {param: (default, rule)}
+
+
+def experiment(name: str, **rules):
+    """Register the decorated body under `name`: each keyword parameter
+    after `rng` is a param, with its default and the rule in `rules`."""
+    def register(body):
+        params = inspect.signature(body).parameters
+        EXPERIMENTS[name] = body
+        PARAMS[name] = {k: (params[k].default, rule)
+                        for k, rule in rules.items()}
+        return body
+    return register
+
+
+@experiment("entropy", p=Each(Num(0)))
+def _exp_entropy(rng, p=[0.5, 0.25, 0.125, 0.125]):
+    u = np.full(len(p), 1 / len(p))
     return ["quantity", "bits"], [
-        ["shannon", qprob.shannon_entropy(dist)],
-        ["relative_to_uniform", qprob.relative_entropy(dist, u)],
+        ["shannon", qprob.shannon_entropy(p)],
+        ["relative_to_uniform", qprob.relative_entropy(p, u)],
     ]
 
 
-def _exp_bell_teleport(p, rng):
+@experiment("bell-teleport", runs=Int(1))
+def _exp_bell_teleport(rng, runs=100):
     rows = []
-    for _ in range(p.get("runs", 100)):
+    for _ in range(runs):
         psi = simcore.haar_random_state(2, rng)
         (m1, m2), out = algos.teleport(psi, rng)
         fid = abs(np.vdot(psi, out)) ** 2
@@ -49,8 +106,8 @@ def _exp_bell_teleport(p, rng):
     return ["m1", "m2", "fidelity"], rows
 
 
-def _exp_deutsch_jozsa(p, rng):
-    n = p.get("n", 3)
+@experiment("deutsch-jozsa", n=Int(1, MAX_QUBITS - 1))  # + output qubit
+def _exp_deutsch_jozsa(rng, n=3):
     rows = [["constant", algos.deutsch_jozsa(n, lambda x: 0)]]
     half = 2 ** (n - 1)
     f = lambda x: 1 if x < half else 0
@@ -58,22 +115,22 @@ def _exp_deutsch_jozsa(p, rng):
     return ["oracle", "answer"], rows
 
 
-def _exp_qft(p, rng):
+@experiment("qft", max_n=Int(1, MAX_QUBITS))
+def _exp_qft(rng, max_n=6):
     rows = []
-    for n in range(1, p.get("max_n", 6) + 1):
+    for n in range(1, max_n + 1):
         circ = algos.qft_circuit(n)
         err = np.abs(circ.unitary() - algos.qft_matrix(n)).max()
         rows.append([n, circ.gate_count(), err])
     return ["n", "gates", "max_error"], rows
 
 
-def _exp_qpe_bound(p, rng):
-    t = p.get("t", 4)
-    eps = p.get("epsilon", 0.1)
-    n_anc = algos.qpe_ancilla_bits(t, eps)
-    draws = p.get("draws", 2000)
+@experiment("qpe-bound", t=Int(1), epsilon=Num(0, False, 1), draws=Int(1),
+            grid=Int(1))
+def _exp_qpe_bound(rng, t=4, epsilon=0.1, draws=2000, grid=10):
+    n_anc = algos.qpe_ancilla_bits(t, epsilon)
     rows = []
-    for phi in np.linspace(0.037, 0.93, p.get("grid", 10)):
+    for phi in np.linspace(0.037, 0.93, grid):
         amps = algos.qpe_register_amplitudes(phi, n_anc)
         probs = np.abs(amps) ** 2
         ms = rng.choice(len(probs), size=draws, p=probs / probs.sum())
@@ -84,18 +141,17 @@ def _exp_qpe_bound(p, rng):
     return ["phi", "ancillas", "success_rate"], rows
 
 
-def _exp_grover(p, rng):
-    n = p.get("n", 4)
-    marked = set(p.get("marked", [3]))
+@experiment("grover", n=Int(1, MAX_QUBITS), marked=Each(Int(0)))
+def _exp_grover(rng, n=4, marked=[3]):
+    marked = set(marked)
     R, closed, simulated, _ = algos.grover(lambda x: x in marked, n)
     return ["n", "M", "R", "closed_form", "simulated"], [
         [n, len(marked), R, closed, simulated]
     ]
 
 
-def _exp_dqc1(p, rng):
-    n = p.get("n", 3)
-    shots = p.get("shots", 20000)
+@experiment("dqc1", n=Int(1, MAX_QUBITS - 1), shots=Int(1))  # + clean qubit
+def _exp_dqc1(rng, n=3, shots=20000):
     U = simcore.haar_random_unitary(2**n, rng)
     est = algos.dqc1_trace(U, shots, rng)
     ref = np.trace(U) / 2**n
@@ -104,12 +160,12 @@ def _exp_dqc1(p, rng):
     ]
 
 
-def _exp_lcu(p, rng):
-    n = p.get("n", 2)
+# n + ceil(log2 #terms) qubits; n = 4 has up to 136 terms, so 12 qubits
+@experiment("lcu", n=Int(1, 4))
+def _exp_lcu(rng, n=2):
     A = rng.normal(size=(2**n, 2**n))
     A = A + A.T
     terms = simcore.pauli_decompose(A)
-    labels = [lab for lab, _ in terms]
     alphas = np.array([abs(c) for _, c in terms])
     unitaries = [np.sign(c) * simcore.pauli_matrix(lab)
                  for lab, c in terms]
@@ -124,29 +180,31 @@ def _exp_lcu(p, rng):
     ]
 
 
-def _exp_matrix_protocols(p, rng):
-    t = p.get("t_bits", 8)
-    n = p.get("n", 2)
-    lams = rng.choice(np.arange(1, 2**t), size=2**n, replace=False) / 2.0**t
+@experiment("matrix-protocols", t_bits=Int(1), n=Int(1))
+def _exp_matrix_protocols(rng, t_bits=8, n=2):
+    lams = rng.choice(np.arange(1, 2**t_bits), size=2**n,
+                      replace=False) / 2.0**t_bits
     V = simcore.haar_random_unitary(2**n, rng)
     A = (V * lams) @ V.conj().T
     x = simcore.haar_random_state(2**n, rng)
-    out, p_acc, err = algos.qpe_matrix_multiply(A, x, t_bits=t)
+    out, p_acc, err = algos.qpe_matrix_multiply(A, x, t_bits=t_bits)
     ref = A @ x
     fid = abs(np.vdot(ref / np.linalg.norm(ref), out)) ** 2
     return ["protocol", "p_acc", "fidelity"], [["multiply", p_acc, fid]]
 
 
-def _exp_fourier_spectra(p, rng):
+@experiment("fourier-spectra", max_N=Int(1, MAX_QUBITS))
+def _exp_fourier_spectra(rng, max_N=4):
     rows = []
-    for N in range(1, p.get("max_N", 4) + 1):
+    for N in range(1, max_N + 1):
         spec = encode.EncodingSpec("exponential", {"N": N})
         om = encode.frequency_spectrum(spec)
         rows.append([N, len(om), float(om.max())])
     return ["N", "spectrum_size", "max_frequency"], rows
 
 
-def _exp_gradients(p, rng):
+@experiment("gradients")
+def _exp_gradients(rng):
     circ = varqml.ParamCircuit(2, [
         varqml.Layer([("XI", 1.0)],
                      fixed=simcore.expand_gate(simcore.H, [0], 2)),
@@ -163,46 +221,47 @@ def _exp_gradients(p, rng):
     ]
 
 
-def _exp_barren_sweep(p, rng):
-    rows = varqml.barren_experiment(
-        p.get("n_values", [2, 3, 4, 5, 6]), p.get("ensemble", 200), rng
-    )
+@experiment("barren-sweep", n_values=Each(Int(1, MAX_QUBITS)),
+            ensemble=Int(2))  # a variance needs two samples
+def _exp_barren_sweep(rng, n_values=[2, 3, 4, 5, 6], ensemble=200):
+    rows = varqml.barren_experiment(n_values, ensemble, rng)
     return ["n", "mean", "var", "stderr"], [
         [r["n"], r["mean"], r["var"], r["stderr"]] for r in rows
     ]
 
 
-def _exp_landau_zener(p, rng):
+@experiment("landau-zener", eta_grid=Each(Num(0, False)))
+def _exp_landau_zener(rng, eta_grid=[0.05, 0.1, 0.3, 0.6, 1.0, 1.5]):
     rows = []
-    for eta in p.get("eta_grid", [0.05, 0.1, 0.3, 0.6, 1.0, 1.5]):
+    for eta in eta_grid:
         prob = varqml.landau_zener(1.0, float(np.sqrt(eta)))
         rows.append([eta, prob, float(np.exp(-2 * np.pi * eta))])
     return ["eta", "probability", "formula"], rows
 
 
-def _exp_qaoa_maxcut(p, rng):
-    edges = [tuple(e) for e in p.get("edges", [[0, 1], [1, 2], [0, 2]])]
+# one qubit per vertex index
+@experiment("qaoa-maxcut", edges=Each(Pair(Int(0, MAX_QUBITS - 1))),
+            p=Int(1), restarts=Int(1))
+def _exp_qaoa_maxcut(rng, edges=[[0, 1], [1, 2], [0, 2]], p=2, restarts=6):
     model = varqml.maxcut_to_ising(edges)
-    angles, bits, ratio = varqml.qaoa(
-        model, p.get("p", 2), rng, restarts=p.get("restarts", 6)
-    )
+    angles, bits, ratio = varqml.qaoa(model, p, rng, restarts=restarts)
     return ["p", "best_bits", "ratio"], [
-        [p.get("p", 2), "".join(map(str, bits)), ratio]
+        [p, "".join(map(str, bits)), ratio]
     ]
 
 
-def _exp_gibbs(p, rng):
-    T = p.get("T", 1.0)
-    n = p.get("n", 3)
+@experiment("gibbs", T=Num(0, False), n=Int(1, MAX_QUBITS))
+def _exp_gibbs(rng, T=1.0, n=3):
     rho = varqml.gibbs_pair_prepare(T, n)
     H0 = sum(simcore.expand_gate(simcore.X, [q], n) for q in range(n))
     ref = varqml.gibbs_state(H0, T, sign=-1.0)
     return ["n", "T", "max_error"], [[n, T, float(np.abs(rho - ref).max())]]
 
 
-def _exp_kernels(p, rng):
+@experiment("kernels", M=Int(1))
+def _exp_kernels(rng, M=8):
     spec = encode.EncodingSpec("phase", {})
-    X = [rng.normal(size=2) for _ in range(p.get("M", 8))]
+    X = [rng.normal(size=2) for _ in range(M)]
     gm = qkernel.gram(X, spec)
     y = rng.normal(size=len(X))
     s = qkernel.model_complexity(gm, y)
@@ -212,10 +271,11 @@ def _exp_kernels(p, rng):
     ]
 
 
-def _exp_mps_norm_bench(p, rng):
+# no MAX_QUBITS cap: an MPS of N sites never forms the 2^N vector
+@experiment("mps-norm-bench", N_values=Each(Int(2)), D=Int(1))
+def _exp_mps_norm_bench(rng, N_values=[4, 6, 8, 10], D=4):
     rows = []
-    for N in p.get("N_values", [4, 6, 8, 10]):
-        D = p.get("D", 4)
+    for N in N_values:
         cores = [rng.normal(size=(1, 2, D)) + 0j]
         for _ in range(N - 2):
             cores.append(rng.normal(size=(D, 2, D)) + 0j)
@@ -227,33 +287,32 @@ def _exp_mps_norm_bench(p, rng):
     return ["N", "D", "scheme", "norm", "ops"], rows
 
 
-def _exp_colorings(p, rng):
-    edges = [tuple(e) for e in p.get("edges", [[0, 1], [1, 2], [0, 2]])]
-    nv = p.get("vertices", 3)
-    d = p.get("colors", 3)
-    return ["vertices", "colors", "count"], [
-        [nv, d, tnet.count_colorings(edges, nv, d)]
-    ]
+# one einsum letter per vertex
+@experiment("colorings", edges=Each(Pair(Int(0, 25))), vertices=Int(1, 26),
+            colors=Int(1))
+def _exp_colorings(rng, edges=[[0, 1], [1, 2], [0, 2]], vertices=3,
+                   colors=3):
+    count = tnet.count_colorings(edges, vertices, colors)
+    return ["vertices", "colors", "count"], [[vertices, colors, count]]
 
 
-def _exp_anomaly(p, rng):
-    base = rng.normal(size=p.get("N", 6))
-    train = [base + 0.03 * rng.normal(size=base.size)
-             for _ in range(p.get("M", 10))]
-    model, hist = tnet.anomaly_fit(
-        train, S=p.get("S", 2), alpha=p.get("alpha", 0.05),
-        steps=p.get("steps", 60), rng=rng,
-    )
+@experiment("anomaly", N=Int(1), M=Int(1), S=Int(1), alpha=Num(0),
+            steps=Int(0))
+def _exp_anomaly(rng, N=6, M=10, S=2, alpha=0.05, steps=60):
+    base = rng.normal(size=N)
+    train = [base + 0.03 * rng.normal(size=base.size) for _ in range(M)]
+    model, hist = tnet.anomaly_fit(train, S=S, alpha=alpha, steps=steps,
+                                   rng=rng)
     scores = [tnet.anomaly_score(model, x) for x in train]
     return ["final_loss", "mean_score", "target"], [
         [hist[-1], float(np.mean(scores)), float(np.sqrt(np.e))]
     ]
 
 
-def _exp_dequant_inner(p, rng):
-    N = p.get("N", 128)
-    cfg = dequant.EstimatorConfig(p.get("epsilon", 0.1),
-                                  p.get("delta", 0.05))
+@experiment("dequant-inner", N=Int(1), epsilon=Num(0, False),
+            delta=Num(0, False, 1))
+def _exp_dequant_inner(rng, N=128, epsilon=0.1, delta=0.05):
+    cfg = dequant.EstimatorConfig(epsilon, delta)
     x = rng.normal(size=N) + 1j * rng.normal(size=N)
     y = rng.normal(size=N) + 1j * rng.normal(size=N)
     xs = dequant.SQVector(x)
@@ -265,130 +324,68 @@ def _exp_dequant_inner(p, rng):
     ]]
 
 
-def _exp_dequant_vs_quantum(p, rng):
-    N = p.get("N", 64)
+@experiment("dequant-vs-quantum", N=Int(1), shots=Each(Int(1)),
+            epsilons=Each(Num(0, False)), trials=Int(1))
+def _exp_dequant_vs_quantum(rng, N=64, shots=[400, 1600, 6400],
+                            epsilons=[0.4, 0.2, 0.1], trials=16):
     x = rng.normal(size=N) + 1j * rng.normal(size=N)
     x /= np.linalg.norm(x)
     y = rng.normal(size=N) + 1j * rng.normal(size=N)
     y /= np.linalg.norm(y)
-    shots = p.get("shots", [400, 1600, 6400])
-    cfgs = [dequant.EstimatorConfig(e, 0.1)
-            for e in p.get("epsilons", [0.4, 0.2, 0.1])]
-    rows = dequant.quantum_vs_dequant_harness(
-        x, y, shots, cfgs, rng, trials=p.get("trials", 16)
-    )
+    cfgs = [dequant.EstimatorConfig(e, 0.1) for e in epsilons]
+    rows = dequant.quantum_vs_dequant_harness(x, y, shots, cfgs, rng,
+                                              trials=trials)
     return ["method", "resources", "error"], [
         [r["method"], r["resources"], r["error"]] for r in rows
     ]
 
 
-EXPERIMENTS = {
-    "entropy": _exp_entropy,
-    "bell-teleport": _exp_bell_teleport,
-    "deutsch-jozsa": _exp_deutsch_jozsa,
-    "qft": _exp_qft,
-    "qpe-bound": _exp_qpe_bound,
-    "grover": _exp_grover,
-    "dqc1": _exp_dqc1,
-    "lcu": _exp_lcu,
-    "matrix-protocols": _exp_matrix_protocols,
-    "fourier-spectra": _exp_fourier_spectra,
-    "gradients": _exp_gradients,
-    "barren-sweep": _exp_barren_sweep,
-    "landau-zener": _exp_landau_zener,
-    "qaoa-maxcut": _exp_qaoa_maxcut,
-    "gibbs": _exp_gibbs,
-    "kernels": _exp_kernels,
-    "mps-norm-bench": _exp_mps_norm_bench,
-    "colorings": _exp_colorings,
-    "anomaly": _exp_anomaly,
-    "dequant-inner": _exp_dequant_inner,
-    "dequant-vs-quantum": _exp_dequant_vs_quantum,
-}
+def _cross_errors(name: str, p: dict) -> list:
+    """Rules on two params, or on a register width derived from them."""
+    if name == "entropy":
+        try:
+            qprob.check_prob_vector(p["p"])
+        except ValueError as exc:
+            return [f"p: {exc}"]
+    if name == "grover":
+        errors = [f"marked value {v!r} is not below 2^n = {2**p['n']}"
+                  for v in p["marked"] if v >= 2**p["n"]]
+        if not errors and len(set(p["marked"])) in (0, 2**p["n"]):
+            errors.append("marked must name some but not all indices")
+        return errors
+    if name == "matrix-protocols":
+        # 2^n distinct eigenvalues k / 2^t_bits with 0 < k < 2^t_bits
+        if not p["n"] < p["t_bits"] <= MAX_QUBITS - p["n"]:
+            return [f"n and t_bits must have n < t_bits and "
+                    f"n + t_bits <= {MAX_QUBITS}"]
+    if name == "qpe-bound" and \
+            algos.qpe_ancilla_bits(p["t"], p["epsilon"]) > MAX_QUBITS:
+        return [f"t and epsilon need more than {MAX_QUBITS} ancilla qubits"]
+    if name == "colorings":
+        return [f"edges value {e!r} is not within 0..{p['vertices'] - 1}"
+                for e in p["edges"] if max(e) >= p["vertices"]]
+    return []
 
 
-# --- parameter checks -------------------------------------------------------
-# Values that would otherwise fail, or leave the simulator's scope, only
-# once the experiment runs. Each check returns error messages.
-
-MAX_QUBITS = 12
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_finite(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) \
-        and math.isfinite(v)
-
-
-def _list_errors(p, key, default, ok, want) -> list:
-    values = p.get(key, default)
-    if not isinstance(values, list):
-        return [f"{key} must be a list"]
-    return [f"{key} value {v!r} is not {want}" for v in values if not ok(v)]
-
-
-def _check_landau_zener(p):
-    return _list_errors(p, "eta_grid", [],
-                        lambda v: _is_finite(v) and v > 0,
-                        "a finite number > 0")
-
-
-def _check_grover(p):
-    n = p.get("n", 4)
-    if not _is_int(n) or not 1 <= n <= MAX_QUBITS:
-        return [f"n must be an integer in 1..{MAX_QUBITS}"]
-    errors = _list_errors(p, "marked", [3],
-                          lambda v: _is_int(v) and 0 <= v < 2**n,
-                          f"an integer in [0, 2^n) = [0, {2**n})")
-    if not errors and len(set(p.get("marked", [3]))) in (0, 2**n):
-        errors.append("marked must name some but not all indices")
-    return errors
-
-
-def _check_barren_sweep(p):
-    ensemble = p.get("ensemble", 200)
-    errors = _list_errors(p, "n_values", [],
-                          lambda v: _is_int(v) and 1 <= v <= MAX_QUBITS,
-                          f"an integer in 1..{MAX_QUBITS}")
-    if not _is_int(ensemble) or ensemble < 2:
-        errors.append("ensemble must be an integer >= 2: a variance needs "
-                      "two samples")
-    return errors
-
-
-def _check_mps_norm_bench(p):
-    # no MAX_QUBITS cap: an MPS of N sites never forms the 2^N vector
-    errors = _list_errors(p, "N_values", [], lambda v: _is_int(v) and v >= 2,
-                          "an integer >= 2")
-    D = p.get("D", 4)
-    if not _is_int(D) or D < 1:
-        errors.append("D must be an integer >= 1")
-    return errors
-
-
-def _check_anomaly(p):
-    errors = []
-    for key, default, low in (("N", 6, 1), ("M", 10, 1), ("S", 2, 1),
-                              ("steps", 60, 0)):
-        v = p.get(key, default)
-        if not _is_int(v) or v < low:
-            errors.append(f"{key} must be an integer >= {low}")
-    alpha = p.get("alpha", 0.05)
-    if not _is_finite(alpha) or alpha < 0:
-        errors.append("alpha must be a finite number >= 0")
-    return errors
-
-
-PARAM_CHECKS = {
-    "landau-zener": _check_landau_zener,
-    "grover": _check_grover,
-    "barren-sweep": _check_barren_sweep,
-    "mps-norm-bench": _check_mps_norm_bench,
-    "anomaly": _check_anomaly,
-}
+def resolve_params(name: str, params: dict) -> tuple:
+    """(resolved, errors): the params of `name` with defaults filled in, and
+    a message for every unknown key and every value that breaks a rule."""
+    declared = PARAMS[name]
+    errors = [f"unknown param {k!r}" for k in params if k not in declared]
+    resolved = {}
+    for key, (default, rule) in declared.items():
+        value = resolved[key] = params[key] if key in params else default
+        test, desc = rule
+        if isinstance(rule, Each) and isinstance(value, list):
+            errors += [f"{key} value {v!r} is not {desc}" for v in value
+                       if not test(v)]
+        elif isinstance(rule, Each):
+            errors.append(f"{key} must be a list")
+        elif not test(value):
+            errors.append(f"{key} must be {desc}")
+    if not errors:
+        errors = _cross_errors(name, resolved)
+    return resolved, errors
 
 
 def validate_config(cfg: dict) -> list:
@@ -401,11 +398,12 @@ def validate_config(cfg: dict) -> list:
         if key not in known:
             diags.append(f"warning: unknown key {key!r}")
     name = cfg.get("experiment")
-    if name not in EXPERIMENTS:
+    known_name = isinstance(name, str) and name in PARAMS
+    if not known_name:
         diags.append(f"error: unknown experiment {name!r}")
     if "seed" not in cfg:
         diags.append("error: seed is required for reproducibility")
-    elif not isinstance(cfg["seed"], int):
+    elif not _is_int(cfg["seed"]):
         diags.append("error: seed must be an integer")
     fmt = cfg.get("format", "csv")
     if fmt not in ("csv", "json"):
@@ -413,8 +411,9 @@ def validate_config(cfg: dict) -> list:
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         diags.append("error: params must be a JSON object")
-    elif name in PARAM_CHECKS:
-        diags += [f"error: {name}: {e}" for e in PARAM_CHECKS[name](params)]
+    elif known_name:
+        diags += [f"error: {name}: {e}"
+                  for e in resolve_params(name, params)[1]]
     return diags
 
 
@@ -426,10 +425,14 @@ def _config_hash(cfg: dict) -> str:
 
 def run_config(cfg: dict, out_path: str | None = None) -> str:
     """Execute one experiment and write the result table; returns the
-    serialized output."""
+    serialized output. Raises BadParameter, before the experiment runs,
+    when a param is unknown or breaks its rule."""
     name = cfg["experiment"]
+    params, errors = resolve_params(name, cfg.get("params", {}))
+    if errors:
+        raise BadParameter(f"{name}: " + "; ".join(errors))
     rng = np.random.default_rng(cfg["seed"])
-    columns, rows = EXPERIMENTS[name](cfg.get("params", {}), rng)
+    columns, rows = EXPERIMENTS[name](rng, **params)
     meta = {"experiment": name, "seed": cfg["seed"],
             "config_hash": _config_hash(cfg), "version": __version__}
     fmt = cfg.get("format", "csv")
@@ -483,22 +486,18 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    if args.command == "validate":
-        diags = validate_config(cfg)
-        for d in diags:
-            print(d)
-        return 2 if any(d.startswith("error:") for d in diags) else 0
-
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.format is not None:
-        cfg["format"] = args.format
+    if args.command == "run" and isinstance(cfg, dict):
+        if args.seed is not None:
+            cfg["seed"] = args.seed
+        if args.format is not None:
+            cfg["format"] = args.format
     diags = validate_config(cfg)
-    errors = [d for d in diags if d.startswith("error:")]
     for d in diags:
-        print(d, file=sys.stderr)
-    if errors:
+        print(d, file=sys.stdout if args.command == "validate" else sys.stderr)
+    if any(d.startswith("error:") for d in diags):
         return 2
+    if args.command == "validate":
+        return 0
     try:
         text = run_config(cfg, out_path=args.out)
     except Exception as exc:  # experiment failure, not a config problem

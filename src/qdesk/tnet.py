@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadLength, BadParameter, DimensionMismatch, UnsupportedKind
+from .errors import (BadLength, BadParameter, DimensionMismatch,
+                     TargetOutOfRange, UnsupportedKind)
 
 
 def _sign_fix(U: np.ndarray, Vh: np.ndarray):
@@ -178,6 +179,8 @@ def count_colorings(edges, n_vertices: int, d: int) -> int:
     letters = "abcdefghijklmnopqrstuvwxyz"
     if n_vertices > len(letters):
         raise BadLength("too many vertices")
+    if any(not 0 <= v < n_vertices for e in edges for v in e):
+        raise TargetOutOfRange(f"an edge leaves vertices 0..{n_vertices - 1}")
     if not edges:
         return d ** n_vertices
     terms = [f"{letters[i]}{letters[j]}" for i, j in edges]

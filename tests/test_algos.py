@@ -9,6 +9,7 @@ import pytest
 from qdesk import algos, simcore as sc
 from qdesk.errors import (
     AllSolutions,
+    BadParameter,
     NoSolutions,
     NotAnEigenvector,
     PostselectionImpossible,
@@ -133,6 +134,12 @@ class TestQPE:
         # t + ceil(log2(2 + 1/(2 eps)))
         assert algos.qpe_ancilla_bits(4, 0.25) == 6
         assert algos.qpe_ancilla_bits(3, 0.1) == 3 + 3
+
+    @pytest.mark.parametrize("eps", [0, -0.4, 1, 1.5, float("nan")])
+    def test_ancilla_epsilon_outside_unit_interval(self, eps):
+        # eps = 0 divided by zero; eps < 0 returned t or fewer ancillas
+        with pytest.raises(BadParameter):
+            algos.qpe_ancilla_bits(4, eps)
 
     def test_not_an_eigenvector(self):
         U = np.eye(2, dtype=complex)

@@ -1,12 +1,18 @@
 """Command-line interface: subcommands, config validation, exit codes,
 output formats, and byte-identical reruns at a fixed seed."""
+import hashlib
+import importlib.util
+import inspect
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from qdesk import cli
+from qdesk.errors import BadParameter
 
 
 def write_cfg(tmp_path, name="cli.json", **overrides):
@@ -56,6 +62,46 @@ class TestValidate:
     def test_missing_file(self, capsys):
         assert cli.main(["validate", "--config", "/no/such/file.json"]) == 2
 
+    @pytest.mark.parametrize("seed", [True, 7.0, "7", None])
+    def test_seed_must_be_an_int(self, seed, tmp_path, capsys):
+        path, _ = write_cfg(tmp_path, seed=seed)
+        assert cli.main(["validate", "--config", str(path)]) == 2
+        assert "seed must be an integer" in capsys.readouterr().out
+
+    def test_unhashable_experiment_name(self, tmp_path, capsys):
+        path, _ = write_cfg(tmp_path, experiment=["grover"])
+        assert cli.main(["validate", "--config", str(path)]) == 2
+        assert "error: unknown experiment" in capsys.readouterr().out
+
+
+class TestParamRegistry:
+    """Each experiment declares its params once, in `@experiment`."""
+
+    def test_names_match(self):
+        assert set(cli.PARAMS) == set(cli.EXPERIMENTS)
+        assert len(cli.PARAMS) == 21
+
+    @pytest.mark.parametrize("name", sorted(cli.EXPERIMENTS))
+    def test_defaults_pass_their_rules(self, name):
+        body = cli.EXPERIMENTS[name]
+        params = dict(inspect.signature(body).parameters)
+        assert params.pop("rng").default is inspect.Parameter.empty
+        assert set(params) == set(cli.PARAMS[name])
+        resolved, errors = cli.resolve_params(name, {})
+        assert errors == []
+        assert resolved == {k: p.default for k, p in params.items()}
+
+    def test_keys_match_benchmark_workloads(self):
+        # perfbench/workloads.py lists by hand the keys each experiment
+        # reads; the benchmark passes exactly those keys
+        path = Path(__file__).resolve().parents[1] / "perfbench" / \
+            "workloads.py"
+        spec = importlib.util.spec_from_file_location("_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        for name, keys in workloads.PARAM_KEYS.items():
+            assert set(cli.PARAMS[name]) == keys, name
+
 
 class TestParamBoundary:
     """Parameter values that used to pass `validate` and then fail, or run
@@ -81,6 +127,34 @@ class TestParamBoundary:
         ("anomaly", {"steps": -1}, "steps must be an integer >= 0"),
         ("anomaly", {"alpha": -0.1}, "alpha must be a finite number >= 0"),
         ("anomaly", {"alpha": "0.05"}, "alpha must be a finite number"),
+        # each would have allocated gigabytes or more
+        ("deutsch-jozsa", {"n": 30}, "n must be an integer in 1..11"),
+        ("lcu", {"n": 5}, "n must be an integer in 1..4"),
+        ("gibbs", {"n": 20}, "n must be an integer in 1..12"),
+        ("qft", {"max_n": 20}, "max_n must be an integer in 1..12"),
+        ("qaoa-maxcut", {"edges": [[0, 40]]}, "edges value [0, 40]"),
+        # each used to fail inside the experiment with a Python error
+        ("dqc1", {"n": "3"}, "n must be an integer in 1..11"),
+        ("deutsch-jozsa", {"n": "4"}, "n must be an integer in 1..11"),
+        ("qaoa-maxcut", {"p": "2"}, "p must be an integer >= 1"),
+        ("bell-teleport", {"runs": 2.5}, "runs must be an integer >= 1"),
+        ("kernels", {"M": 0}, "M must be an integer >= 1"),
+        ("matrix-protocols", {"t_bits": 1, "n": 2}, "n < t_bits"),
+        ("qpe-bound", {"epsilon": 0}, "epsilon must be a finite number > 0"),
+        ("dequant-inner", {"epsilon": 0},
+         "epsilon must be a finite number > 0"),
+        ("colorings", {"vertices": 30}, "vertices must be an integer in 1..26"),
+        # each used to print a result that does not match the config
+        ("entropy", {"bogus": 1}, "unknown param 'bogus'"),
+        ("colorings", {"edges": [[0, 5]], "vertices": 3},
+         "edges value [0, 5]"),
+        ("qpe-bound", {"epsilon": -0.4},
+         "epsilon must be a finite number > 0"),
+        # register widths derived from two params
+        ("matrix-protocols", {"t_bits": 8, "n": 5}, "n + t_bits <= 12"),
+        ("qpe-bound", {"t": 10, "epsilon": 0.1}, "more than 12 ancilla"),
+        ("grover", {"n": 13}, "n must be an integer in 1..12"),
+        ("entropy", {"p": [0.5, 0.25]}, "p: probabilities sum to 0.75"),
     ]
 
     @pytest.mark.parametrize("name,params,message", BAD)
@@ -107,10 +181,28 @@ class TestParamBoundary:
         ("barren-sweep", {"n_values": [1, 12], "ensemble": 2}),
         ("mps-norm-bench", {"N_values": [2, 16], "D": 1}),
         ("anomaly", {"N": 3, "M": 1, "S": 4, "steps": 0, "alpha": 0}),
+        ("deutsch-jozsa", {"n": 11}),
+        ("dqc1", {"n": 11, "shots": 1}),
+        ("lcu", {"n": 4}),
+        ("matrix-protocols", {"t_bits": 9, "n": 3}),
+        ("qpe-bound", {"t": 9, "epsilon": 0.1}),
+        ("qaoa-maxcut", {"edges": [[0, 11]], "p": 1, "restarts": 1}),
+        ("colorings", {"edges": [[0, 25]], "vertices": 26, "colors": 1}),
+        ("gibbs", {"T": 1, "n": 12}),
     ])
     def test_boundary_values_pass(self, name, params, tmp_path):
         path, _ = write_cfg(tmp_path, experiment=name, params=params)
         assert cli.main(["validate", "--config", str(path)]) == 0
+
+    @pytest.mark.parametrize("name,params,message", BAD)
+    def test_run_config_raises_before_the_body(self, name, params, message,
+                                               monkeypatch):
+        def body(rng, **params):
+            raise AssertionError("experiment body ran")
+
+        monkeypatch.setitem(cli.EXPERIMENTS, name, body)
+        with pytest.raises(BadParameter, match=re.escape(message)):
+            cli.run_config({"experiment": name, "seed": 1, "params": params})
 
     def test_anomaly_without_output_site_runs(self, tmp_path, capsys):
         # S > N: no site carries an output leg, P maps to a scalar
@@ -209,10 +301,28 @@ class TestRun:
             cli.main(["run", "--config", str(path), "--threads", "2"])
         assert exc.value.code == 2
 
+    def test_values_pass_unconverted(self):
+        text = cli.run_config({"experiment": "gibbs", "seed": 1,
+                               "params": {"T": 1, "n": 1}})
+        assert text.splitlines()[-1].startswith("1,1,")
+
+    def test_hash_covers_the_config_as_given(self):
+        cfg = {"experiment": "entropy", "seed": 3}
+        text = cli.run_config(cfg)
+        digest = hashlib.sha256(json.dumps(cfg, sort_keys=True).encode())
+        assert f"# config_hash={digest.hexdigest()[:16]}" in text
+        assert cfg == {"experiment": "entropy", "seed": 3}
+
     def test_landau_zener_header_names_no_method(self):
         text = cli.run_config({"experiment": "landau-zener", "seed": 1,
                                "params": {"eta_grid": [1.0]}})
         assert "eta,probability,formula" in text.splitlines()
+
+    def test_run_non_object_config_with_seed_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        assert cli.main(["run", "--config", str(path), "--seed", "3"]) == 2
+        assert "config must be a JSON object" in capsys.readouterr().err
 
     def test_run_malformed_json_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdesk import tnet
-from qdesk.errors import BadParameter, DimensionMismatch
+from qdesk.errors import BadParameter, DimensionMismatch, TargetOutOfRange
 
 
 def random_tensor(shape, seed):
@@ -141,6 +141,13 @@ class TestColorings:
 
     def test_edgeless_graph(self):
         assert tnet.count_colorings([], 5, 3) == 3 ** 5
+
+    @pytest.mark.parametrize("edges", [[(0, 5)], [(0, 1), (3, 1)],
+                                       [(-1, 2)]])
+    def test_edge_outside_vertices_rejected(self, edges):
+        # the contraction used to count a stray endpoint as one more vertex
+        with pytest.raises(TargetOutOfRange):
+            tnet.count_colorings(edges, 3, 3)
 
 
 class TestEmbedding:
