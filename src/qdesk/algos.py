@@ -91,12 +91,21 @@ def oracle_unitary(f, n: int) -> np.ndarray:
     return U
 
 
+def apply_oracle(psi: np.ndarray, f, n: int) -> np.ndarray:
+    """oracle_unitary(f, n) @ psi as one index gather: amplitude (x, y)
+    of the result is amplitude (x, y ^ f(x)) of psi; f is evaluated once
+    per x."""
+    fx = np.fromiter((int(f(x)) & 1 for x in range(2**n)), dtype=np.intp,
+                     count=2**n)
+    return psi[np.arange(2 ** (n + 1)) ^ np.repeat(fx, 2)]
+
+
 def deutsch_jozsa(n: int, f) -> str:
     """Exact constant-vs-balanced decision for a promised oracle."""
     psi = sc.basis_state(n + 1, 1)  # input |0..0>|1>
     for q in range(n + 1):
         psi = sc.apply_gate(psi, sc.H, [q])
-    psi = oracle_unitary(f, n) @ psi
+    psi = apply_oracle(psi, f, n)
     for q in range(n):
         psi = sc.apply_gate(psi, sc.H, [q])
     # probability that the first n qubits read all zeros
@@ -396,6 +405,14 @@ def lcu_block_encode(alphas, unitaries):
 
     Returns (full unitary, alpha). The top-left dim x dim block of the
     result is A / alpha.
+
+    With P the Prep unitary on A_dim = 2^a ancilla states and U_k the
+    select blocks (identity for k >= L), block (i, j) of the result is
+    sum_k conj(P_ki) P_kj U_k (Childs & Wiebe 2012). It is formed as one
+    (A_dim x A_dim) by (A_dim x A_dim dim^2) product, A_dim^3 dim^2
+    multiply-adds against 2 (A_dim dim)^3 for the dense Prep^dag Select
+    Prep, with no kron factor or dense select; the peak memory is twice
+    the output.
     """
     alphas = np.asarray(alphas, dtype=float)
     if np.any(alphas <= 0):
@@ -411,12 +428,14 @@ def lcu_block_encode(alphas, unitaries):
     amps = np.zeros(A_dim)
     amps[:L] = np.sqrt(alphas / alpha)
     prep = householder_prep(amps.astype(complex))
-    select = np.zeros((A_dim * dim, A_dim * dim), dtype=complex)
-    for i in range(A_dim):
-        blk = unitaries[i] if i < L else np.eye(dim, dtype=complex)
-        select[i * dim:(i + 1) * dim, i * dim:(i + 1) * dim] = blk
-    full = (np.kron(prep.conj().T, np.eye(dim)) @ select
-            @ np.kron(prep, np.eye(dim)))
+    U = np.empty((A_dim, dim, dim), dtype=complex)
+    U[:L] = unitaries
+    U[L:] = np.eye(dim)
+    # T[k, a, j, b] = P_kj U_k[a, b]; summing conj(P_ki) T[k] over k gives
+    # full[i dim + a, j dim + b]
+    T = U[:, :, None, :] * prep[:, None, :, None]
+    full = (prep.conj().T @ T.reshape(A_dim, -1)).reshape(A_dim * dim,
+                                                           A_dim * dim)
     return full, float(alpha)
 
 

@@ -34,6 +34,9 @@ def _fmt(v):
 # --- parameter rules: (test, description) pairs ----------------------------
 
 MAX_QUBITS = 12
+# every count of samples: draws, shots, runs and trials. At this cap
+# bell-teleport, which keeps one row per run, peaks near 270 MB
+MAX_SAMPLES = 10**6
 
 
 def _is_int(v) -> bool:
@@ -61,6 +64,13 @@ def Pair(rule) -> tuple:
     test, desc = rule
     return (lambda v: isinstance(v, list) and len(v) == 2
             and all(map(test, v)), f"a list of two items, each {desc}")
+
+
+def AtMost(rule, hi) -> tuple:
+    """A value passing `rule` that is at most hi: the cap on a size that is
+    not a qubit count."""
+    test, desc = rule
+    return (lambda v: test(v) and v <= hi), f"{desc} and <= {hi}"
 
 
 class Each(tuple):
@@ -95,7 +105,7 @@ def _exp_entropy(rng, p=[0.5, 0.25, 0.125, 0.125]):
     ]
 
 
-@experiment("bell-teleport", runs=Int(1))
+@experiment("bell-teleport", runs=AtMost(Int(1), MAX_SAMPLES))
 def _exp_bell_teleport(rng, runs=100):
     rows = []
     for _ in range(runs):
@@ -125,8 +135,8 @@ def _exp_qft(rng, max_n=6):
     return ["n", "gates", "max_error"], rows
 
 
-@experiment("qpe-bound", t=Int(1), epsilon=Num(0, False, 1), draws=Int(1),
-            grid=Int(1))
+@experiment("qpe-bound", t=Int(1), epsilon=Num(0, False, 1),
+            draws=AtMost(Int(1), MAX_SAMPLES), grid=Int(1))
 def _exp_qpe_bound(rng, t=4, epsilon=0.1, draws=2000, grid=10):
     n_anc = algos.qpe_ancilla_bits(t, epsilon)
     rows = []
@@ -150,7 +160,8 @@ def _exp_grover(rng, n=4, marked=[3]):
     ]
 
 
-@experiment("dqc1", n=Int(1, MAX_QUBITS - 1), shots=Int(1))  # + clean qubit
+@experiment("dqc1", n=Int(1, MAX_QUBITS - 1),  # + clean qubit
+            shots=AtMost(Int(1), MAX_SAMPLES))
 def _exp_dqc1(rng, n=3, shots=20000):
     U = simcore.haar_random_unitary(2**n, rng)
     est = algos.dqc1_trace(U, shots, rng)
@@ -258,7 +269,8 @@ def _exp_gibbs(rng, T=1.0, n=3):
     return ["n", "T", "max_error"], [[n, T, float(np.abs(rho - ref).max())]]
 
 
-@experiment("kernels", M=Int(1))
+# the Gram takes M (M + 1) / 2 kernel evaluations, one at a time
+@experiment("kernels", M=AtMost(Int(1), 512))
 def _exp_kernels(rng, M=8):
     spec = encode.EncodingSpec("phase", {})
     X = [rng.normal(size=2) for _ in range(M)]
@@ -271,8 +283,9 @@ def _exp_kernels(rng, M=8):
     ]
 
 
-# no MAX_QUBITS cap: an MPS of N sites never forms the 2^N vector
-@experiment("mps-norm-bench", N_values=Each(Int(2)), D=Int(1))
+# the naive scheme forms the 2^N vector and the parallel one holds N
+# D^2 x D^2 transfer matrices: N = 16 at D = 32 peaks near 400 MB
+@experiment("mps-norm-bench", N_values=Each(Int(2, 16)), D=AtMost(Int(1), 32))
 def _exp_mps_norm_bench(rng, N_values=[4, 6, 8, 10], D=4):
     rows = []
     for N in N_values:
@@ -309,7 +322,11 @@ def _exp_anomaly(rng, N=6, M=10, S=2, alpha=0.05, steps=60):
     ]
 
 
-@experiment("dequant-inner", N=Int(1), epsilon=Num(0, False),
+DEQUANT_N = AtMost(Int(1), 2**20)
+VERSUS_DELTA = 0.1  # failure probability of each dequant-vs-quantum sketch
+
+
+@experiment("dequant-inner", N=DEQUANT_N, epsilon=Num(0, False),
             delta=Num(0, False, 1))
 def _exp_dequant_inner(rng, N=128, epsilon=0.1, delta=0.05):
     cfg = dequant.EstimatorConfig(epsilon, delta)
@@ -324,20 +341,35 @@ def _exp_dequant_inner(rng, N=128, epsilon=0.1, delta=0.05):
     ]]
 
 
-@experiment("dequant-vs-quantum", N=Int(1), shots=Each(Int(1)),
-            epsilons=Each(Num(0, False)), trials=Int(1))
+@experiment("dequant-vs-quantum", N=DEQUANT_N,
+            shots=Each(AtMost(Int(1), MAX_SAMPLES)),
+            epsilons=Each(Num(0, False)),
+            trials=AtMost(Int(1), MAX_SAMPLES))
 def _exp_dequant_vs_quantum(rng, N=64, shots=[400, 1600, 6400],
                             epsilons=[0.4, 0.2, 0.1], trials=16):
     x = rng.normal(size=N) + 1j * rng.normal(size=N)
     x /= np.linalg.norm(x)
     y = rng.normal(size=N) + 1j * rng.normal(size=N)
     y /= np.linalg.norm(y)
-    cfgs = [dequant.EstimatorConfig(e, 0.1) for e in epsilons]
+    cfgs = [dequant.EstimatorConfig(e, VERSUS_DELTA) for e in epsilons]
     rows = dequant.quantum_vs_dequant_harness(x, y, shots, cfgs, rng,
                                               trials=trials)
     return ["method", "resources", "error"], [
         [r["method"], r["resources"], r["error"]] for r in rows
     ]
+
+
+def _sample_errors(epsilons, delta) -> list:
+    """The median-of-means sketch draws ceil(6 ln(2/delta)) buckets of
+    ceil(9/epsilon^2) samples; that count is capped like every other."""
+    errors = []
+    for eps in epsilons:
+        cfg = dequant.EstimatorConfig(eps, delta)
+        count = cfg.n_buckets * cfg.bucket_size
+        if count > MAX_SAMPLES:
+            errors.append(f"epsilon {eps!r} with delta {delta!r} draws "
+                          f"{count} samples, more than {MAX_SAMPLES}")
+    return errors
 
 
 def _cross_errors(name: str, p: dict) -> list:
@@ -361,6 +393,10 @@ def _cross_errors(name: str, p: dict) -> list:
     if name == "qpe-bound" and \
             algos.qpe_ancilla_bits(p["t"], p["epsilon"]) > MAX_QUBITS:
         return [f"t and epsilon need more than {MAX_QUBITS} ancilla qubits"]
+    if name == "dequant-inner":
+        return _sample_errors([p["epsilon"]], p["delta"])
+    if name == "dequant-vs-quantum":
+        return _sample_errors(p["epsilons"], VERSUS_DELTA)
     if name == "colorings":
         return [f"edges value {e!r} is not within 0..{p['vertices'] - 1}"
                 for e in p["edges"] if max(e) >= p["vertices"]]

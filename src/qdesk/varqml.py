@@ -460,11 +460,12 @@ def gibbs_state(H, T: float, sign: float = -1.0) -> np.ndarray:
 def gibbs_pair_prepare(T: float, n: int) -> np.ndarray:
     """Marginal of the pair construction: n pairs, each in
     (e^{-1/2T} |+>|+> + e^{+1/2T} |->|->)/sqrt(Z); tracing the ancilla of
-    each pair leaves e^{-H0/T}/Z with H0 = sum sigma^x."""
+    each pair leaves e^{-H0/T}/Z with H0 = sum sigma^x. The weights are
+    taken relative to the larger one, e^{-1/T} and 1, so no small T
+    overflows."""
     plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
     minus = np.array([1, -1], dtype=complex) / np.sqrt(2)
-    pair = (np.exp(-1 / (2 * T)) * np.kron(plus, plus)
-            + np.exp(1 / (2 * T)) * np.kron(minus, minus))
+    pair = np.exp(-1 / T) * np.kron(plus, plus) + np.kron(minus, minus)
     pair /= np.linalg.norm(pair)
     rho_pair = np.outer(pair, pair.conj())
     # trace out the ancilla (second qubit of the pair)
@@ -501,6 +502,11 @@ def brickwork_unitary(n: int, depth: int, rng: np.random.Generator) -> np.ndarra
     return U.T
 
 
+def _act(op, psi: np.ndarray) -> np.ndarray:
+    """op |psi> for a matrix or for a callable acting on the last axis."""
+    return op(psi) if callable(op) else op @ psi
+
+
 def barren_gradient_sample(n: int, H, V, rng: np.random.Generator,
                            mode: str = "brickwork",
                            depth: int | None = None, psi0=None) -> float:
@@ -508,31 +514,57 @@ def barren_gradient_sample(n: int, H, V, rng: np.random.Generator,
     U+^dag H U+ e^{-i theta V} U-|0>, i.e. i<chi|[V, U+^dag H U+]|chi> with
     chi = U-|0>. For Hermitian H and V that is -2 Im<U+ V chi|H|U+ chi>,
     so only the pair (chi, V chi) is pushed through U+; every U- gate is
-    drawn before any U+ gate."""
+    drawn before any U+ gate. H and V are matrices or callables that act
+    on the last axis of a state."""
     psi = sc.basis_state(n) if psi0 is None else np.asarray(psi0, complex)
-    H = np.asarray(H, dtype=complex)
+    if not callable(H):
+        H = np.asarray(H, dtype=complex)
     if mode == "haar":
         Um = sc.haar_random_unitary(2**n, rng)
         Up = sc.haar_random_unitary(2**n, rng)
         chi = Um @ psi
-        pair = np.stack([chi, V @ chi]) @ Up.T
+        pair = np.stack([chi, _act(V, chi)]) @ Up.T
     elif mode == "brickwork":
         depth = depth or 3 * n
         chi = psi
         for g, targets in _brickwork_gates(n, depth, rng):
             chi = sc.apply_gate(chi, g, targets)
-        pair = np.stack([chi, V @ chi])
+        pair = np.stack([chi, _act(V, chi)])
         for g, targets in _brickwork_gates(n, depth, rng):
             pair = sc.apply_gate(pair, g, targets)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return float(-2 * np.vdot(pair[1], H @ pair[0]).imag)
+    return float(-2 * np.vdot(pair[1], _act(H, pair[0])).imag)
 
 
 def case3_variance(H, V, n: int, purity: float = 1.0,
                    exact: bool = True) -> float:
     """Closed-form gradient variance when both U- and U+ are independent
-    2-designs and the input state is pure.
+    2-designs and the input state is pure, for dense H and V; see
+    case3_variance_from_traces."""
+    H = np.asarray(H, dtype=complex)
+    V = np.asarray(V, dtype=complex)
+    tr_v2, tr_v = _square_and_trace(V)
+    return case3_variance_from_traces(_traceless_square(H), tr_v2, tr_v, n,
+                                      purity, exact)
+
+
+def _traceless_square(H: np.ndarray) -> float:
+    """tr(H~^2) for the traceless part H~ of H."""
+    Ht = H - np.trace(H) / H.shape[0] * np.eye(H.shape[0])
+    # tr(A A) = sum_ij A_ij A_ji: O(d^2), no d^3 matrix product
+    return np.sum(Ht * Ht.T).real
+
+
+def _square_and_trace(V: np.ndarray) -> tuple:
+    """(tr(V^2), tr V)."""
+    return np.sum(V * V.T).real, np.trace(V).real
+
+
+def case3_variance_from_traces(tr_h2: float, tr_v2: float, tr_v: float,
+                               n: int, purity: float = 1.0,
+                               exact: bool = True) -> float:
+    """The case-3 variance from tr(H~^2), tr(V^2) and tr(V).
 
     The exact Haar average is
         2 tr(H~^2) [d tr(V^2) - tr(V)^2] / (d (d+1) (d^2 - 1)),
@@ -540,18 +572,26 @@ def case3_variance(H, V, n: int, purity: float = 1.0,
     away). Its d -> infinity limit is the familiar
     2 tr(H~^2) tr(rho^2) (tr(V^2)/2^{3n} - tr(V)^2/2^{4n}), available with
     exact=False."""
-    H = np.asarray(H, dtype=complex)
-    V = np.asarray(V, dtype=complex)
     d = 2**n
-    Ht = H - np.trace(H) / d * np.eye(d)
-    # tr(A A) = sum_ij A_ij A_ji: O(d^2), no d^3 matrix product
-    tr_h2 = np.sum(Ht * Ht.T).real
-    tr_v2 = np.sum(V * V.T).real
-    tr_v = np.trace(V).real
     if exact:
         return float(2 * tr_h2 * purity * (d * tr_v2 - tr_v**2)
                      / (d * (d + 1) * (d**2 - 1)))
     return float(2 * tr_h2 * purity * (tr_v2 / d**3 - tr_v**2 / d**4))
+
+
+def _global_cost(d: int):
+    """H = |0..0><0..0| - I/d on the last axis: H psi = psi_0 e_0 - psi/d."""
+    def apply(psi):
+        out = psi / -d
+        out[..., 0] += psi[..., 0]
+        return out
+    return apply
+
+
+def _z_on_first(n: int):
+    """V = Z on qubit 0 on the last axis, by its Pauli action."""
+    label = "Z" + "I" * (n - 1)
+    return lambda psi: sc.apply_pauli(psi, label)
 
 
 def barren_experiment(n_values, ensemble: int, rng: np.random.Generator,
@@ -561,18 +601,23 @@ def barren_experiment(n_values, ensemble: int, rng: np.random.Generator,
 
     Defaults: global cost H = |0..0><0..0| - I/2^n (traceless) and
     V = Z on qubit 0, the configuration whose variance decays as 4^{-n}.
+    Both act without a matrix, and their traces are in closed form:
+    tr(H~^2) = 1 - 1/d, tr(V^2) = d, tr V = 0. Custom builders return
+    dense matrices.
     """
     rows = []
     for n in n_values:
         d = 2**n
         if H_builder is None:
-            H = np.zeros((d, d), dtype=complex)
-            H[0, 0] = 1.0
-            H -= np.eye(d) / d
+            H, tr_h2 = _global_cost(d), 1 - 1 / d
         else:
-            H = H_builder(n)
-        V = (sc.expand_gate(sc.Z, [0], n) if V_builder is None
-             else V_builder(n))
+            H = np.asarray(H_builder(n), dtype=complex)
+            tr_h2 = _traceless_square(H)
+        if V_builder is None:
+            V, tr_v2, tr_v = _z_on_first(n), d, 0.0
+        else:
+            V = np.asarray(V_builder(n), dtype=complex)
+            tr_v2, tr_v = _square_and_trace(V)
         g = np.array([
             barren_gradient_sample(n, H, V, rng, mode=mode)
             for _ in range(ensemble)
@@ -582,7 +627,8 @@ def barren_experiment(n_values, ensemble: int, rng: np.random.Generator,
             "mean": float(g.mean()),
             "var": float(g.var(ddof=1)),
             "stderr": float(g.std(ddof=1) / np.sqrt(ensemble)),
-            "closed_form_var": case3_variance(H, V, n),
+            "closed_form_var": case3_variance_from_traces(tr_h2, tr_v2,
+                                                          tr_v, n),
         })
     return rows
 

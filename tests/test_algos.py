@@ -2,9 +2,12 @@
 QFT, phase estimation, Grover, DQC1, the swap test, QPE-based matrix
 protocols, and LCU block encoding."""
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdesk import algos, simcore as sc
 from qdesk.errors import (
@@ -85,6 +88,16 @@ class TestDeutschJozsa:
         U = algos.oracle_unitary(lambda x: x & 1, 2)
         assert sc.is_unitary(U)
         assert np.abs(np.abs(U).sum(axis=0) - 1).max() < 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_gather_equals_oracle_unitary(self, n):
+        rng = np.random.default_rng(40 + n)
+        for _ in range(4):
+            bits = rng.integers(0, 2, size=2**n)
+            f = lambda x, b=bits: int(b[x])
+            psi = sc.haar_random_state(2 ** (n + 1), rng)
+            assert np.array_equal(algos.apply_oracle(psi, f, n),
+                                  algos.oracle_unitary(f, n) @ psi)
 
 
 class TestQFT:
@@ -292,3 +305,42 @@ class TestLCU:
             assert alpha == pytest.approx(sum(alphas))
             block = algos.lcu_extract_block(full, 2**n)
             assert np.abs(block - A / alpha).max() < 1e-10
+
+    @staticmethod
+    def dense_reference(alphas, unitaries):
+        # Prep^dag Select Prep with kron factors and a block-diagonal select
+        L, dim = len(unitaries), unitaries[0].shape[0]
+        A_dim = 2 ** max(1, math.ceil(math.log2(L)))
+        amps = np.zeros(A_dim, dtype=complex)
+        amps[:L] = np.sqrt(np.asarray(alphas) / np.sum(alphas))
+        prep = algos.householder_prep(amps)
+        select = np.zeros((A_dim * dim,) * 2, dtype=complex)
+        for k in range(A_dim):
+            select[k * dim:(k + 1) * dim, k * dim:(k + 1) * dim] = \
+                unitaries[k] if k < L else np.eye(dim)
+        return (np.kron(prep.conj().T, np.eye(dim)) @ select
+                @ np.kron(prep, np.eye(dim)))
+
+    @given(st.integers(1, 9), st.integers(2, 8), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_structured_product_matches_dense(self, L, dim, seed):
+        rng = np.random.default_rng(seed)
+        alphas = rng.uniform(0.05, 3.0, size=L)
+        unis = [sc.haar_random_unitary(dim, rng) for _ in range(L)]
+        full, alpha = algos.lcu_block_encode(alphas, unis)
+        assert np.abs(full - self.dense_reference(alphas, unis)).max() \
+            < 1e-13
+        assert sc.is_unitary(full)
+        block = algos.lcu_extract_block(full, dim)
+        target = sum(a * u for a, u in zip(alphas, unis)) / alpha
+        assert np.abs(block - target).max() < 1e-13
+
+    def test_no_kron(self, monkeypatch):
+        def kron(*args):
+            raise AssertionError("np.kron called")
+
+        rng = np.random.default_rng(15)
+        unis = [sc.haar_random_unitary(4, rng) for _ in range(3)]
+        monkeypatch.setattr(np, "kron", kron)
+        full, _ = algos.lcu_block_encode([1.0, 0.5, 0.25], unis)
+        assert full.shape == (16, 16)

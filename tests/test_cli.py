@@ -155,6 +155,34 @@ class TestParamBoundary:
         ("qpe-bound", {"t": 10, "epsilon": 0.1}, "more than 12 ancilla"),
         ("grover", {"n": 13}, "n must be an integer in 1..12"),
         ("entropy", {"p": [0.5, 0.25]}, "p: probabilities sum to 0.75"),
+        # sizes that are not qubit counts, one past each cap
+        ("qpe-bound", {"draws": cli.MAX_SAMPLES + 1},
+         "draws must be an integer >= 1 and <= 1000000"),
+        ("qpe-bound", {"draws": 10_000_000_000},
+         "draws must be an integer >= 1 and <= 1000000"),
+        ("dqc1", {"shots": cli.MAX_SAMPLES + 1},
+         "shots must be an integer >= 1 and <= 1000000"),
+        ("bell-teleport", {"runs": cli.MAX_SAMPLES + 1},
+         "runs must be an integer >= 1 and <= 1000000"),
+        ("dequant-vs-quantum", {"shots": [400, cli.MAX_SAMPLES + 1]},
+         "shots value 1000001"),
+        ("dequant-vs-quantum", {"trials": cli.MAX_SAMPLES + 1},
+         "trials must be an integer >= 1 and <= 1000000"),
+        ("dequant-inner", {"N": 2**20 + 1},
+         "N must be an integer >= 1 and <= 1048576"),
+        ("dequant-vs-quantum", {"N": 2**20 + 1},
+         "N must be an integer >= 1 and <= 1048576"),
+        ("kernels", {"M": 513}, "M must be an integer >= 1 and <= 512"),
+        ("mps-norm-bench", {"D": 33}, "D must be an integer >= 1 and <= 32"),
+        ("mps-norm-bench", {"N_values": [4, 17]}, "N_values value 17"),
+        # 23 buckets of 44012 samples; epsilon 0.0144 draws 998269
+        ("dequant-inner", {"epsilon": 0.0143, "delta": 0.05},
+         "draws 1012276 samples, more than 1000000"),
+        ("dequant-inner", {"epsilon": 0.1, "delta": 1e-300},
+         "more than 1000000"),
+        # 18 buckets of 55801 samples at delta 0.1; 0.0128 draws 988776
+        ("dequant-vs-quantum", {"epsilons": [0.4, 0.0127]},
+         "epsilon 0.0127 with delta 0.1 draws 1004418 samples"),
     ]
 
     @pytest.mark.parametrize("name,params,message", BAD)
@@ -189,6 +217,17 @@ class TestParamBoundary:
         ("qaoa-maxcut", {"edges": [[0, 11]], "p": 1, "restarts": 1}),
         ("colorings", {"edges": [[0, 25]], "vertices": 26, "colors": 1}),
         ("gibbs", {"T": 1, "n": 12}),
+        # sizes that are not qubit counts, at each cap
+        ("qpe-bound", {"draws": 1_000_000}),
+        ("dqc1", {"shots": 1_000_000}),
+        ("bell-teleport", {"runs": 1_000_000}),
+        ("dequant-vs-quantum", {"shots": [1_000_000], "trials": 1_000_000,
+                                "N": 2**20}),
+        ("dequant-inner", {"N": 2**20}),
+        ("kernels", {"M": 512}),
+        ("mps-norm-bench", {"N_values": [16], "D": 32}),
+        ("dequant-inner", {"epsilon": 0.0144, "delta": 0.05}),
+        ("dequant-vs-quantum", {"epsilons": [0.0128]}),
     ])
     def test_boundary_values_pass(self, name, params, tmp_path):
         path, _ = write_cfg(tmp_path, experiment=name, params=params)
@@ -305,6 +344,14 @@ class TestRun:
         text = cli.run_config({"experiment": "gibbs", "seed": 1,
                                "params": {"T": 1, "n": 1}})
         assert text.splitlines()[-1].startswith("1,1,")
+
+    @pytest.mark.parametrize("T", [5e-4, 1e-3])
+    def test_gibbs_small_temperature_row(self, T):
+        row = cli.run_config({"experiment": "gibbs", "seed": 1,
+                              "params": {"T": T, "n": 2}}).splitlines()[-1]
+        n, temp, err = row.split(",")
+        assert float(temp) == T
+        assert float(err) < 1e-12  # false for nan
 
     def test_hash_covers_the_config_as_given(self):
         cfg = {"experiment": "entropy", "seed": 3}

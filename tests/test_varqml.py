@@ -332,6 +332,17 @@ class TestGibbs:
         ref /= ref.sum()
         assert np.abs(p - ref).max() < 1e-12
 
+    @pytest.mark.parametrize("T", [5e-4, 1e-3])
+    def test_small_temperature_is_finite(self, T):
+        # e^{1/2T} overflows below T ~ 7e-4; the weights relative to the
+        # larger one do not
+        for n in (1, 2, 3):
+            rho = vq.gibbs_pair_prepare(T, n)
+            H0 = sum(sc.expand_gate(sc.X, [q], n) for q in range(n))
+            assert np.all(np.isfinite(rho))
+            assert np.abs(rho - vq.gibbs_state(H0, T, sign=-1.0)).max() \
+                < 1e-12
+
     def test_transverse_field_mixes(self):
         m = vq.IsingModel({}, np.array([1.0]), c=np.array([0.5]))
         rho, _ = vq.tfim_gibbs(m, 1.0)
@@ -405,6 +416,38 @@ class TestBarren:
                 < 1e-12
             assert fast_rng.bit_generator.state == \
                 ref_rng.bit_generator.state
+
+    @staticmethod
+    def dense_defaults(n):
+        d = 2**n
+        H = np.zeros((d, d), dtype=complex)
+        H[0, 0] = 1.0
+        H -= np.eye(d) / d
+        return H, sc.expand_gate(sc.Z, [0], n)
+
+    @pytest.mark.parametrize("mode", ["brickwork", "haar"])
+    def test_matrix_free_defaults_match_dense(self, mode):
+        n_values = [1, 2, 3, 4, 5]
+        fast = vq.barren_experiment(n_values, 12, np.random.default_rng(3),
+                                    mode=mode)
+        dense = vq.barren_experiment(
+            n_values, 12, np.random.default_rng(3), mode=mode,
+            H_builder=lambda n: self.dense_defaults(n)[0],
+            V_builder=lambda n: self.dense_defaults(n)[1])
+        for a, b in zip(fast, dense):
+            assert a["n"] == b["n"]
+            for key in ("mean", "var", "stderr", "closed_form_var"):
+                assert abs(a[key] - b[key]) < 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_trace_helper_reproduces_case3(self, n):
+        d = 2**n
+        H, V = self.dense_defaults(n)
+        for exact in (True, False):
+            closed = vq.case3_variance_from_traces(1 - 1 / d, d, 0.0, n,
+                                                   exact=exact)
+            assert closed == pytest.approx(
+                vq.case3_variance(H, V, n, exact=exact), rel=1e-12)
 
     def test_brickwork_variance_decays(self):
         rng = np.random.default_rng(10)
