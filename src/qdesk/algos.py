@@ -280,7 +280,8 @@ def overlap_test(x: np.ndarray, y: np.ndarray, shots: int,
     if x.size != y.size:
         raise DimensionMismatch("states differ in dimension")
     p0 = (1 + abs(np.vdot(x, y)) ** 2) / 2
-    zeros = rng.binomial(shots, p0)
+    # |<x|y>|^2 of unit vectors can round to just above 1
+    zeros = rng.binomial(shots, np.clip(p0, 0, 1))
     return 2 * zeros / shots - 1
 
 

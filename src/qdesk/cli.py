@@ -136,7 +136,7 @@ def _exp_qft(rng, max_n=6):
 
 
 @experiment("qpe-bound", t=Int(1), epsilon=Num(0, False, 1),
-            draws=AtMost(Int(1), MAX_SAMPLES), grid=Int(1))
+            draws=AtMost(Int(1), MAX_SAMPLES), grid=AtMost(Int(1), 1000))
 def _exp_qpe_bound(rng, t=4, epsilon=0.1, draws=2000, grid=10):
     n_anc = algos.qpe_ancilla_bits(t, epsilon)
     rows = []
@@ -232,8 +232,9 @@ def _exp_gradients(rng):
     ]
 
 
+# a variance needs two samples; one sample at n = 12 takes about 17 ms
 @experiment("barren-sweep", n_values=Each(Int(1, MAX_QUBITS)),
-            ensemble=Int(2))  # a variance needs two samples
+            ensemble=AtMost(Int(2), 10**4))
 def _exp_barren_sweep(rng, n_values=[2, 3, 4, 5, 6], ensemble=200):
     rows = varqml.barren_experiment(n_values, ensemble, rng)
     return ["n", "mean", "var", "stderr"], [
@@ -250,9 +251,10 @@ def _exp_landau_zener(rng, eta_grid=[0.05, 0.1, 0.3, 0.6, 1.0, 1.5]):
     return ["eta", "probability", "formula"], rows
 
 
-# one qubit per vertex index
+# one qubit per vertex index; a restart takes 250 descent steps of 4p + 1
+# depth-p circuits each
 @experiment("qaoa-maxcut", edges=Each(Pair(Int(0, MAX_QUBITS - 1))),
-            p=Int(1), restarts=Int(1))
+            p=AtMost(Int(1), 16), restarts=AtMost(Int(1), 100))
 def _exp_qaoa_maxcut(rng, edges=[[0, 1], [1, 2], [0, 2]], p=2, restarts=6):
     model = varqml.maxcut_to_ising(edges)
     angles, bits, ratio = varqml.qaoa(model, p, rng, restarts=restarts)
@@ -300,17 +302,19 @@ def _exp_mps_norm_bench(rng, N_values=[4, 6, 8, 10], D=4):
     return ["N", "D", "scheme", "norm", "ops"], rows
 
 
-# one einsum letter per vertex
+# one einsum letter per vertex; no graph on 26 vertices needs more colors
 @experiment("colorings", edges=Each(Pair(Int(0, 25))), vertices=Int(1, 26),
-            colors=Int(1))
+            colors=AtMost(Int(1), 26))
 def _exp_colorings(rng, edges=[[0, 1], [1, 2], [0, 2]], vertices=3,
                    colors=3):
     count = tnet.count_colorings(edges, vertices, colors)
     return ["vertices", "colors", "count"], [[vertices, colors, count]]
 
 
-@experiment("anomaly", N=Int(1), M=Int(1), S=Int(1), alpha=Num(0),
-            steps=Int(0))
+# a step differentiates the P <= 16 N core entries by one sweep over 2P
+# probe rows of M samples, so its time grows as N^2 M
+@experiment("anomaly", N=AtMost(Int(1), 64), M=AtMost(Int(1), 1000),
+            S=Int(1), alpha=Num(0), steps=AtMost(Int(0), 10**4))
 def _exp_anomaly(rng, N=6, M=10, S=2, alpha=0.05, steps=60):
     base = rng.normal(size=N)
     train = [base + 0.03 * rng.normal(size=base.size) for _ in range(M)]

@@ -1,11 +1,13 @@
 """Sample-and-query access and dequantized linear algebra primitives.
 
-SQVector gives O(log N) index sampling proportional to |x_i|^2 via prefix
-sums plus O(1) entry and norm queries. dequant_inner estimates x.y (with
-the convention x.y = sum conj(x_i) y_i) by a median of bucketed means, and
-nearest_centroid builds the sketch-based classifier on top of it. A small
-harness compares the estimator head-to-head with the simulated quantum
-overlap test.
+SQVector draws index i with probability |x_i|^2 / ||x||^2 from a guide
+table over the prefix sums (the cutpoint method): O(N) setup, O(1) expected
+work per draw, and for every uniform u the index a binary search of the
+prefix sums would give. Entry and norm queries are O(1). dequant_inner
+estimates x.y (with the convention x.y = sum conj(x_i) y_i) by a median of
+bucketed means, and nearest_centroid builds the sketch-based classifier on
+top of it. A small harness compares the estimator head-to-head with the
+simulated quantum overlap test.
 """
 from __future__ import annotations
 
@@ -15,11 +17,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import algos
-from .errors import EmptyClass, LengthMismatch, ZeroVector
+from .errors import BadParameter, EmptyClass, LengthMismatch, ZeroVector
 
 
 class SQVector:
-    """Sample-and-query access to a complex vector."""
+    """Sample-and-query access to a complex vector.
+
+    Draws use the prefix sums cum[i] = sum_{k <= i} |x_k|^2 / ||x||^2 and a
+    guide table over K = 2^ceil(log2 N) equal cells of [0, 1):
+    guide[j] = #{i : cum[i] <= j/K}, j = 0..K. A draw u in cell
+    j = floor(u K) has its answer #{i : cum[i] <= u} in
+    [guide[j], guide[j + 1]]; K is a power of two, so u K and j/K are
+    exact. One test of cum[guide[j]] settles most draws, and the rest
+    bisect what is left of their cell. Setup is O(N), a draw O(1) expected
+    work (the cell of a uniform u holds N/K <= 1 prefix sums on average)
+    and O(log N) at worst, and the index is the one
+    `searchsorted(cum, u, side="right")` gives."""
 
     def __init__(self, values):
         values = np.asarray(values, dtype=complex)
@@ -28,10 +41,17 @@ class SQVector:
         nrm2 = float(np.sum(np.abs(values) ** 2))
         if nrm2 == 0.0:
             raise ZeroVector("cannot sample from the zero vector")
+        if not math.isfinite(nrm2):
+            raise BadParameter("the squared norm of the vector is not finite")
         self.values = values
         self.norm = math.sqrt(nrm2)
         self._cum = np.cumsum(np.abs(values) ** 2) / nrm2
         self._cum[-1] = 1.0
+        K = 1 << (values.size - 1).bit_length()
+        # prefix sum i is counted from cell ceil(cum[i] K) on
+        first = np.ceil(self._cum * K).astype(np.intp)
+        self._guide = np.cumsum(np.bincount(first, minlength=K + 1)[:K + 1],
+                                dtype=np.int32)  # counts up to 2^31 - 1
 
     def __len__(self):
         return self.values.size
@@ -43,9 +63,25 @@ class SQVector:
         return np.abs(self.values) ** 2 / self.norm**2
 
     def sample(self, rng: np.random.Generator, size=None):
-        """Index draws with P(i) = |x_i|^2 / ||x||^2 by binary search."""
+        """Index draws with P(i) = |x_i|^2 / ||x||^2, one uniform each, in
+        the shape of `rng.random(size)`; size None gives a 0-d integer."""
         u = rng.random(size)
-        return np.searchsorted(self._cum, u, side="right")
+        flat = np.ravel(u)
+        cell = (flat * (self._guide.size - 1)).astype(np.intp)
+        idx = self._guide[cell].astype(np.intp)
+        # draws past the first prefix sum of their cell: the answer is in
+        # lo..hi, bisected until the interval closes
+        todo = np.flatnonzero(self._cum[idx] <= flat)
+        lo, hi, v = idx[todo] + 1, self._guide[cell[todo] + 1], flat[todo]
+        while todo.size:
+            mid = (lo + hi) >> 1
+            above = self._cum[mid] <= v
+            lo = np.where(above, mid + 1, lo)
+            hi = np.where(above, hi, mid)
+            idx[todo] = lo
+            keep = lo < hi
+            todo, lo, hi, v = todo[keep], lo[keep], hi[keep], v[keep]
+        return idx.reshape(np.shape(u))[()]
 
 
 @dataclass

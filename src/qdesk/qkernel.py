@@ -51,8 +51,11 @@ def quantum_kernel(x, y, spec: encode.EncodingSpec) -> float:
         yv = np.asarray(y, dtype=complex)
         ov = abs(np.vdot(xv, yv)) / (np.linalg.norm(xv) * np.linalg.norm(yv))
         return float(ov ** (2 * r))
-    rx = encoding_density(spec, x)
-    ry = encoding_density(spec, y)
+    return _density_overlap(encoding_density(spec, x),
+                            encoding_density(spec, y))
+
+
+def _density_overlap(rx: np.ndarray, ry: np.ndarray) -> float:
     return float(np.trace(rx @ ry).real)
 
 
@@ -71,11 +74,22 @@ class GramMatrix:
 
 
 def gram(dataset, spec: encode.EncodingSpec) -> GramMatrix:
+    """K[i, j] = quantum_kernel(dataset[i], dataset[j], spec), bit for bit.
+    Each encoding density is built once, not once per pair; amplitude
+    encoding keeps its closed form."""
+    if spec.kind == "amplitude":
+        def pair(i, j):
+            return quantum_kernel(dataset[i], dataset[j], spec)
+    else:
+        rhos = [encoding_density(spec, x) for x in dataset]
+
+        def pair(i, j):
+            return _density_overlap(rhos[i], rhos[j])
     M = len(dataset)
     K = np.empty((M, M))
     for i in range(M):
         for j in range(i, M):
-            K[i, j] = K[j, i] = quantum_kernel(dataset[i], dataset[j], spec)
+            K[i, j] = K[j, i] = pair(i, j)
     return GramMatrix(K, spec)
 
 

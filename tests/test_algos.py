@@ -238,6 +238,14 @@ class TestSwapTest:
         est = algos.overlap_test(x, x, shots, rng)
         assert est == pytest.approx(1.0, abs=5 / np.sqrt(shots))
 
+    def test_overlap_that_rounds_above_one(self):
+        # two unit vectors of length 1 whose |<x|y>|^2 rounds to 1 + 2^-51
+        x = np.array([0.34009497199245725 - 0.9403910941865887j])
+        y = np.array([-0.16681595704847074 - 0.9859880508779014j])
+        assert abs(np.vdot(x, y)) ** 2 > 1
+        rng = np.random.default_rng(0)
+        assert algos.overlap_test(x, y, 1000, rng) == 1.0
+
 
 class TestMatrixProtocols:
     def _representable_matrix(self, n, t, rng):

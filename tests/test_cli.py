@@ -183,6 +183,19 @@ class TestParamBoundary:
         # 18 buckets of 55801 samples at delta 0.1; 0.0128 draws 988776
         ("dequant-vs-quantum", {"epsilons": [0.4, 0.0127]},
          "epsilon 0.0127 with delta 0.1 draws 1004418 samples"),
+        ("qpe-bound", {"grid": 1001},
+         "grid must be an integer >= 1 and <= 1000"),
+        ("barren-sweep", {"ensemble": 10001},
+         "ensemble must be an integer >= 2 and <= 10000"),
+        ("anomaly", {"N": 65}, "N must be an integer >= 1 and <= 64"),
+        ("anomaly", {"M": 1001}, "M must be an integer >= 1 and <= 1000"),
+        ("anomaly", {"steps": 10001},
+         "steps must be an integer >= 0 and <= 10000"),
+        ("qaoa-maxcut", {"p": 17}, "p must be an integer >= 1 and <= 16"),
+        ("qaoa-maxcut", {"restarts": 101},
+         "restarts must be an integer >= 1 and <= 100"),
+        ("colorings", {"colors": 27},
+         "colors must be an integer >= 1 and <= 26"),
     ]
 
     @pytest.mark.parametrize("name,params,message", BAD)
@@ -228,6 +241,11 @@ class TestParamBoundary:
         ("mps-norm-bench", {"N_values": [16], "D": 32}),
         ("dequant-inner", {"epsilon": 0.0144, "delta": 0.05}),
         ("dequant-vs-quantum", {"epsilons": [0.0128]}),
+        ("qpe-bound", {"grid": 1000}),
+        ("barren-sweep", {"ensemble": 10_000}),
+        ("anomaly", {"N": 64, "M": 1000, "steps": 10_000}),
+        ("qaoa-maxcut", {"p": 16, "restarts": 100}),
+        ("colorings", {"colors": 26}),
     ])
     def test_boundary_values_pass(self, name, params, tmp_path):
         path, _ = write_cfg(tmp_path, experiment=name, params=params)
@@ -242,6 +260,15 @@ class TestParamBoundary:
         monkeypatch.setitem(cli.EXPERIMENTS, name, body)
         with pytest.raises(BadParameter, match=re.escape(message)):
             cli.run_config({"experiment": name, "seed": 1, "params": params})
+
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_one_entry_overlap_runs(self, seed, tmp_path, capsys):
+        # |<x|y>|^2 of two unit vectors of length 1 can round above 1
+        path, _ = write_cfg(tmp_path, experiment="dequant-vs-quantum",
+                            seed=seed, params={"N": 1})
+        assert cli.main(["run", "--config", str(path)]) == 0
+        rows = capsys.readouterr().out.splitlines()[-6:]
+        assert all(float(r.split(",")[2]) <= 1e-15 for r in rows)
 
     def test_anomaly_without_output_site_runs(self, tmp_path, capsys):
         # S > N: no site carries an output leg, P maps to a scalar

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdesk import dequant
-from qdesk.errors import EmptyClass, LengthMismatch, ZeroVector
+from qdesk.errors import BadParameter, EmptyClass, LengthMismatch, ZeroVector
 
 
 def random_unit(n, rng):
@@ -50,6 +50,68 @@ class TestSQVector:
     def test_probabilities_sum_to_one(self, values):
         xs = dequant.SQVector(values)
         assert np.sum(xs.probabilities()) == pytest.approx(1.0, abs=1e-9)
+
+    def test_non_finite_norm_rejected(self):
+        with pytest.raises(BadParameter):
+            dequant.SQVector([np.inf, 1.0])
+        with pytest.raises(BadParameter):
+            dequant.SQVector([np.nan, 1.0])
+
+    # magnitudes 10^-d..10^d for d up to 60, so their squares and sums stay
+    # finite; a share of the entries is zero
+    @given(st.integers(1, 2048), st.floats(0, 60), st.floats(0, 0.9),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_sample_is_the_binary_search_index(self, N, decades, zeros, s):
+        rng = np.random.default_rng(s)
+        x = 10.0 ** rng.uniform(-decades, decades, N) \
+            * np.exp(2j * np.pi * rng.random(N))
+        x[rng.random(N) < zeros] = 0
+        x[rng.integers(N)] = 1.0
+        xs = dequant.SQVector(x)
+        got = xs.sample(np.random.default_rng(s), 4000)
+        want = np.searchsorted(xs._cum, np.random.default_rng(s).random(4000),
+                               side="right")
+        assert got.dtype == np.intp
+        assert np.array_equal(got, want)
+
+    def test_sample_at_cell_edges_and_prefix_sums(self):
+        class Fixed:  # a generator whose uniforms are given
+            def __init__(self, u):
+                self.u = u
+
+            def random(self, size):
+                return self.u
+
+        # the cell edges j/K, the edges j/N of a table of N cells, where u N
+        # and j/N can round, and the prefix sums themselves
+        for values in ([1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 2.0],
+                       [0.0, 3.0, 0.0, 0.0, 1.0], [1.0], [1.0] * 6,
+                       [1.0] * 11):
+            xs = dequant.SQVector(values)
+            N = len(values)
+            K = 1 << (N - 1).bit_length()
+            edges = np.concatenate([np.arange(K) / K, np.arange(N) / N,
+                                    xs._cum[:-1]])
+            u = np.concatenate([edges, np.nextafter(edges, 1),
+                                np.nextafter(edges, 0), [1 - 2**-53]])
+            u = u[(u >= 0) & (u < 1)]
+            want = np.searchsorted(xs._cum, u, side="right")
+            assert np.array_equal(xs.sample(Fixed(u), u.size), want)
+
+    def test_size_none_is_the_first_draw(self):
+        xs = dequant.SQVector(np.arange(1.0, 40.0))
+        for s in range(5):
+            one = xs.sample(np.random.default_rng(s))
+            assert np.ndim(one) == 0 and isinstance(one, np.integer)
+            assert one == xs.sample(np.random.default_rng(s), 3)[0]
+
+    def test_tuple_size_shape(self):
+        xs = dequant.SQVector(np.arange(1.0, 40.0))
+        got = xs.sample(np.random.default_rng(1), (5, 3))
+        assert got.shape == (5, 3)
+        assert np.array_equal(
+            got, xs.sample(np.random.default_rng(1), 15).reshape(5, 3))
 
 
 class TestEstimatorConfig:

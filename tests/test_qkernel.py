@@ -77,6 +77,27 @@ class TestGram:
         assert np.linalg.eigvalsh(gm.K).min() >= -1e-8
         assert np.abs(np.diag(gm.K) - 1).max() < 1e-12
 
+    @pytest.mark.parametrize("kind", ["phase", "basis", "qsample",
+                                      "amplitude"])
+    def test_equals_the_pairwise_kernel_loop(self, kind):
+        rng = np.random.default_rng(7)
+        if kind == "phase":
+            spec, X = PHASE, [rng.normal(size=3) for _ in range(9)]
+        elif kind == "basis":
+            spec = encode.EncodingSpec("basis", {"width": 3})
+            X = [int(v) for v in rng.integers(0, 8, 9)]
+        elif kind == "qsample":
+            spec = encode.EncodingSpec("qsample", {})
+            X = [p / p.sum() for p in rng.random((9, 8))]
+        else:
+            spec = encode.EncodingSpec("amplitude", {"copies": 2})
+            X = list(rng.normal(size=(9, 4)) + 1j * rng.normal(size=(9, 4)))
+        K = np.empty((9, 9))
+        for i in range(9):
+            for j in range(i, 9):
+                K[i, j] = K[j, i] = qk.quantum_kernel(X[i], X[j], spec)
+        assert np.array_equal(qk.gram(X, spec).K, K)
+
 
 class TestKernelFit:
     def test_identity_gram(self):
