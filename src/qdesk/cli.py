@@ -402,8 +402,14 @@ def _cross_errors(name: str, p: dict) -> list:
     if name == "dequant-vs-quantum":
         return _sample_errors(p["epsilons"], VERSUS_DELTA)
     if name == "colorings":
-        return [f"edges value {e!r} is not within 0..{p['vertices'] - 1}"
-                for e in p["edges"] if max(e) >= p["vertices"]]
+        errors = [f"edges value {e!r} is not within 0..{p['vertices'] - 1}"
+                  for e in p["edges"] if max(e) >= p["vertices"]]
+        # float64 sums hold integers up to 2^53 (tnet.count_colorings)
+        if p["colors"] ** p["vertices"] > 2**53:
+            errors.append(f"colors^vertices = {p['colors']}^"
+                          f"{p['vertices']} is more than 2^53, so the "
+                          f"count would not be exact")
+        return errors
     return []
 
 

@@ -84,6 +84,11 @@ class SQVector:
         return idx.reshape(np.shape(u))[()]
 
 
+SAMPLE_FACTOR = 54.0
+BUCKET_FACTOR = 6.0
+SIZE_FACTOR = 9.0
+
+
 @dataclass
 class EstimatorConfig:
     """Median-of-means parameters: s = ceil(54/eps^2 log(2/delta)) total
@@ -91,23 +96,20 @@ class EstimatorConfig:
 
     epsilon: float
     delta: float
-    sample_factor: float = 54.0
-    bucket_factor: float = 6.0
-    size_factor: float = 9.0
 
     @property
     def n_samples(self) -> int:
         return math.ceil(
-            self.sample_factor / self.epsilon**2 * math.log(2 / self.delta)
+            SAMPLE_FACTOR / self.epsilon**2 * math.log(2 / self.delta)
         )
 
     @property
     def n_buckets(self) -> int:
-        return math.ceil(self.bucket_factor * math.log(2 / self.delta))
+        return math.ceil(BUCKET_FACTOR * math.log(2 / self.delta))
 
     @property
     def bucket_size(self) -> int:
-        return math.ceil(self.size_factor / self.epsilon**2)
+        return math.ceil(SIZE_FACTOR / self.epsilon**2)
 
 
 def estimator_samples(xs: SQVector, y, n: int,

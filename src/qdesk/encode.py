@@ -109,13 +109,19 @@ def qsample_encode(p) -> np.ndarray:
     return np.sqrt(p).astype(complex)
 
 
-def phase_encode(x) -> np.ndarray:
-    """Product state of qubits cos(x_i)|0> + sin(x_i)|1>, as a density
-    matrix. Satisfies tr rho(x) rho(y) = prod cos^2(x_i - y_i)."""
+def phase_state(x) -> np.ndarray:
+    """Product state of qubits cos(x_i)|0> + sin(x_i)|1>. Satisfies
+    |<psi(x)|psi(y)>|^2 = prod cos^2(x_i - y_i)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     psi = np.array([1.0], dtype=complex)
     for xi in x:
         psi = np.kron(psi, np.array([np.cos(xi), np.sin(xi)]))
+    return psi
+
+
+def phase_encode(x) -> np.ndarray:
+    """`phase_state(x)` as a density matrix rho(x)."""
+    psi = phase_state(x)
     return np.outer(psi, psi.conj())
 
 

@@ -1,7 +1,7 @@
 """Quantum kernels and the power-of-data diagnostics.
 
-Kernels kappa(x, y) = tr(rho(x) rho(y)) for the data encodings in
-`encode`, Gram matrices, regularized kernel regression, and the
+Kernels kappa(x, y) = tr(rho(x) rho(y)), read from the pure encoding states
+of `encode`, Gram matrices, regularized kernel regression, and the
 model-complexity / geometric-difference / effective-dimension quantities
 used to compare quantum and classical kernel models.
 
@@ -20,43 +20,38 @@ from .errors import DimensionMismatch, SingularMatrix, SingularSystem
 PINV_CUTOFF = 1e-10
 
 
-def encoding_density(spec: encode.EncodingSpec, x) -> np.ndarray:
-    """Density matrix rho(x) for a single data point."""
+def encoding_state(spec: encode.EncodingSpec, x) -> np.ndarray:
+    """The encoding state |psi(x)> of a single data point."""
     if spec.kind == "basis":
         width = spec.params["width"]
         bits = encode.bits_of(int(x), width) if np.isscalar(x) else x
-        psi = encode.basis_encode([bits])
-        return np.outer(psi, psi.conj())
+        return encode.basis_encode([bits])
     if spec.kind == "amplitude":
         v = np.asarray(x, dtype=complex)
-        v = v / np.linalg.norm(v)
-        return np.outer(v, v.conj())
+        return v / np.linalg.norm(v)
     if spec.kind == "phase":
-        return encode.phase_encode(x)
+        return encode.phase_state(x)
     if spec.kind == "qsample":
-        psi = encode.qsample_encode(x)
-        return np.outer(psi, psi.conj())
-    raise ValueError(f"no density-matrix encoding for kind {spec.kind!r}")
+        return encode.qsample_encode(x)
+    raise ValueError(f"no state encoding for kind {spec.kind!r}")
 
 
 def quantum_kernel(x, y, spec: encode.EncodingSpec) -> float:
-    """kappa(x, y) = tr(rho(x) rho(y)).
+    """kappa(x, y) = tr(rho(x) rho(y))^r, with r = spec.params["copies"]
+    (default 1).
 
     Closed forms: basis encoding gives the delta kernel, amplitude
-    encoding with r copies gives |x^dag y|^{2r}, phase encoding gives
-    prod cos^2(x_i - y_i)."""
-    if spec.kind == "amplitude":
-        r = spec.params.get("copies", 1)
-        xv = np.asarray(x, dtype=complex)
-        yv = np.asarray(y, dtype=complex)
-        ov = abs(np.vdot(xv, yv)) / (np.linalg.norm(xv) * np.linalg.norm(yv))
-        return float(ov ** (2 * r))
-    return _density_overlap(encoding_density(spec, x),
-                            encoding_density(spec, y))
+    encoding gives |x^dag y|^{2r} for unit x and y, phase encoding gives
+    prod cos^2(x_i - y_i)^r."""
+    return _overlap(encoding_state(spec, x), encoding_state(spec, y), spec)
 
 
-def _density_overlap(rx: np.ndarray, ry: np.ndarray) -> float:
-    return float(np.trace(rx @ ry).real)
+def _overlap(psi_x: np.ndarray, psi_y: np.ndarray,
+             spec: encode.EncodingSpec) -> float:
+    """|<psi_x|psi_y>|^{2r}: for pure states this is tr(rho sigma)^r, which
+    equals tr(rho^{(x)r} sigma^{(x)r})."""
+    r = spec.params.get("copies", 1)
+    return float(abs(np.vdot(psi_x, psi_y)) ** (2 * r))
 
 
 @dataclass
@@ -75,21 +70,13 @@ class GramMatrix:
 
 def gram(dataset, spec: encode.EncodingSpec) -> GramMatrix:
     """K[i, j] = quantum_kernel(dataset[i], dataset[j], spec), bit for bit.
-    Each encoding density is built once, not once per pair; amplitude
-    encoding keeps its closed form."""
-    if spec.kind == "amplitude":
-        def pair(i, j):
-            return quantum_kernel(dataset[i], dataset[j], spec)
-    else:
-        rhos = [encoding_density(spec, x) for x in dataset]
-
-        def pair(i, j):
-            return _density_overlap(rhos[i], rhos[j])
-    M = len(dataset)
+    Each encoding state is built once, not once per pair."""
+    states = [encoding_state(spec, x) for x in dataset]
+    M = len(states)
     K = np.empty((M, M))
     for i in range(M):
         for j in range(i, M):
-            K[i, j] = K[j, i] = pair(i, j)
+            K[i, j] = K[j, i] = _overlap(states[i], states[j], spec)
     return GramMatrix(K, spec)
 
 

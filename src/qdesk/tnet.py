@@ -171,23 +171,61 @@ def mps_from_json(text: str) -> MPS:
 
 # --- graph coloring ----------------------------------------------------------
 
+# entries of the largest factor the elimination may build: 512 MB of float64
+MAX_FACTOR = 2**26
+
+
 def count_colorings(edges, n_vertices: int, d: int) -> int:
     """Number of proper d-colorings, contracted as a tensor network with
     one color index per vertex and a difference-indicator matrix eta per
-    edge."""
-    eta = np.ones((d, d)) - np.eye(d)
+    edge.
+
+    Vertices are summed out one at a time, each time the one whose
+    elimination leaves the smallest factor (ties go to the lower index): one
+    einsum contracts the factors that touch it. Raises BadParameter before
+    a factor of more than MAX_FACTOR entries would be built. Counts are
+    exact while d^n_vertices <= 2^53, where float64 sums hold integers."""
     letters = "abcdefghijklmnopqrstuvwxyz"
     if n_vertices > len(letters):
         raise BadLength("too many vertices")
     if any(not 0 <= v < n_vertices for e in edges for v in e):
         raise TargetOutOfRange(f"an edge leaves vertices 0..{n_vertices - 1}")
-    if not edges:
-        return d ** n_vertices
-    terms = [f"{letters[i]}{letters[j]}" for i, j in edges]
-    spec = ",".join(terms) + "->"
-    free = set(range(n_vertices)) - {v for e in edges for v in e}
-    val = np.einsum(spec, *[eta] * len(edges), optimize=True)
-    return int(round(float(val) * d ** len(free)))
+    eta = np.ones((d, d)) - np.eye(d)
+    factors = {}  # sorted vertex tuple -> tensor with one axis per vertex
+
+    def add(scope, t):
+        factors[scope] = factors[scope] * t if scope in factors else t
+
+    for e in edges:
+        i, j = sorted(e)
+        if i == j:  # a loop admits no coloring
+            add((i,), np.zeros(d))
+        else:
+            add((i, j), eta)
+    count = 1
+    remaining = set(range(n_vertices))
+    while remaining:
+        scopes = {u: set().union(*(k for k in factors if u in k)) - {u}
+                  for u in sorted(remaining)}
+        v = min(scopes, key=lambda u: len(scopes[u]))
+        remaining.remove(v)
+        scope = tuple(sorted(scopes[v]))
+        out = "".join(letters[u] for u in scope)
+        if d ** len(out) > MAX_FACTOR:
+            raise BadParameter(
+                f"summing out vertex {v} builds a factor of {d}^{len(out)} "
+                f"entries, more than {MAX_FACTOR}")
+        touching = [k for k in factors if v in k]
+        if not touching:
+            count *= d
+            continue
+        spec = ",".join("".join(letters[u] for u in k) for k in touching)
+        t = np.einsum(f"{spec}->{out}", *(factors.pop(k) for k in touching))
+        if scope:
+            add(scope, t)
+        else:  # a connected component is summed out
+            count *= int(round(float(t)))
+    return count
 
 
 def count_colorings_brute_force(edges, n_vertices: int, d: int) -> int:

@@ -196,6 +196,11 @@ class TestParamBoundary:
          "restarts must be an integer >= 1 and <= 100"),
         ("colorings", {"colors": 27},
          "colors must be an integer >= 1 and <= 26"),
+        # float64 counts are exact only up to 2^53; 5^23 is about 1.2e16
+        ("colorings", {"vertices": 23, "colors": 5},
+         "colors^vertices = 5^23 is more than 2^53"),
+        ("colorings", {"edges": [[0, 1]], "vertices": 26, "colors": 26},
+         "colors^vertices = 26^26 is more than 2^53"),
     ]
 
     @pytest.mark.parametrize("name,params,message", BAD)
@@ -246,6 +251,7 @@ class TestParamBoundary:
         ("anomaly", {"N": 64, "M": 1000, "steps": 10_000}),
         ("qaoa-maxcut", {"p": 16, "restarts": 100}),
         ("colorings", {"colors": 26}),
+        ("colorings", {"vertices": 26, "colors": 4}),  # 4^26 = 2^52
     ])
     def test_boundary_values_pass(self, name, params, tmp_path):
         path, _ = write_cfg(tmp_path, experiment=name, params=params)
@@ -386,6 +392,24 @@ class TestRun:
         digest = hashlib.sha256(json.dumps(cfg, sort_keys=True).encode())
         assert f"# config_hash={digest.hexdigest()[:16]}" in text
         assert cfg == {"experiment": "entropy", "seed": 3}
+
+    def test_colorings_factor_too_large_exits_1(self, tmp_path, capsys):
+        # K26 at 4 colors is within 2^53 but needs a 4^25-entry factor
+        edges = [[i, j] for i in range(26) for j in range(i + 1, 26)]
+        path, _ = write_cfg(tmp_path, experiment="colorings", params={
+            "edges": edges, "vertices": 26, "colors": 4})
+        assert cli.main(["validate", "--config", str(path)]) == 0
+        capsys.readouterr()
+        assert cli.main(["run", "--config", str(path)]) == 1
+        assert "4^25 entries, more than 67108864" in capsys.readouterr().err
+
+    def test_colorings_dense_graph_runs(self, tmp_path, capsys):
+        # K12 used to exit 1 with "too many operands"
+        edges = [[i, j] for i in range(12) for j in range(i + 1, 12)]
+        path, _ = write_cfg(tmp_path, experiment="colorings", params={
+            "edges": edges, "vertices": 12, "colors": 3})
+        assert cli.main(["run", "--config", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "12,3,0"
 
     def test_landau_zener_header_names_no_method(self):
         text = cli.run_config({"experiment": "landau-zener", "seed": 1,

@@ -73,6 +73,14 @@ class TestQsamplePhase:
             assert val == pytest.approx(np.prod(np.cos(a - b) ** 2),
                                         abs=1e-12)
 
+    def test_phase_encode_is_outer_product_of_phase_state(self):
+        rng = np.random.default_rng(1)
+        for n in (1, 2, 5):
+            x = rng.normal(size=n)
+            psi = encode.phase_state(x)
+            assert np.array_equal(encode.phase_encode(x),
+                                  np.outer(psi, psi.conj()))
+
 
 class TestSpectra:
     def test_single_pauli_spectrum(self):

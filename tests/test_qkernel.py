@@ -2,6 +2,7 @@
 quantities s_K, g12, and effective dimension."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdesk import encode, qkernel as qk
 from qdesk.errors import SingularMatrix, SingularSystem
@@ -56,6 +57,67 @@ class TestKernelIdentities:
         assert qk.quantum_kernel(a, b, PHASE) == pytest.approx(
             qk.quantum_kernel(b, a, PHASE), abs=1e-12
         )
+
+
+def _density(kind, x, width):
+    """rho(x) built from the encoding's definition, not from qkernel."""
+    if kind == "basis":
+        psi = encode.basis_encode([encode.bits_of(x, width)])
+    elif kind == "amplitude":
+        psi = np.asarray(x, dtype=complex) / np.linalg.norm(x)
+    elif kind == "qsample":
+        psi = encode.qsample_encode(x)
+    else:
+        psi = np.array([1.0])
+        for xi in x:
+            psi = np.kron(psi, [np.cos(xi), np.sin(xi)])
+    return np.outer(psi, psi.conj())
+
+
+class TestKernelIsDensityTrace:
+    @given(st.sampled_from(["basis", "amplitude", "qsample", "phase"]),
+           st.integers(1, 3), st.integers(1, 3), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_trace_of_density_product(self, kind, r, width, data):
+        """kappa(x, y) = tr(rho(x) rho(y))^r for every kind and r copies."""
+        spec = encode.EncodingSpec(kind, {"width": width, "copies": r})
+        num = st.floats(-3, 3, allow_nan=False, allow_infinity=False)
+        if kind == "basis":
+            draw = st.integers(0, 2**width - 1)
+        elif kind == "amplitude":
+            draw = st.lists(num, min_size=2**width, max_size=2**width) \
+                .map(np.array).filter(lambda v: np.linalg.norm(v) > 1e-3)
+        elif kind == "qsample":
+            draw = st.lists(st.floats(0, 1), min_size=2**width,
+                            max_size=2**width) \
+                .filter(lambda v: sum(v) > 1e-3) \
+                .map(lambda v: np.array(v) / np.sum(v))
+        else:
+            draw = st.lists(num, min_size=width, max_size=width)
+        x, y = data.draw(draw), data.draw(draw)
+        ref = np.trace(_density(kind, x, width)
+                       @ _density(kind, y, width)).real ** r
+        assert abs(qk.quantum_kernel(x, y, spec) - ref) <= 1e-12
+
+
+class TestNoDensityMatrix:
+    def test_kernel_path_builds_no_density(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("density matrix built")
+
+        rng = np.random.default_rng(9)
+        X = [rng.normal(size=4) for _ in range(5)]
+        monkeypatch.setattr(encode, "phase_encode", forbidden)
+        monkeypatch.setattr(np, "outer", forbidden)
+        gm = qk.gram(X, PHASE)
+        assert gm.K[0, 1] == qk.quantum_kernel(X[0], X[1], PHASE)
+        spec = encode.EncodingSpec("basis", {"width": 2})
+        assert np.array_equal(qk.gram([0, 1, 3], spec).K, np.eye(3))
+        assert qk.quantum_kernel([0.5, 0.5], [0.5, 0.5], AMP) == \
+            pytest.approx(1.0)
+        q = encode.EncodingSpec("qsample", {})
+        assert qk.quantum_kernel([0.5, 0.5], [1.0, 0.0], q) == \
+            pytest.approx(0.5)
 
 
 class TestGram:

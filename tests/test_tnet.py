@@ -142,6 +142,43 @@ class TestColorings:
     def test_edgeless_graph(self):
         assert tnet.count_colorings([], 5, 3) == 3 ** 5
 
+    def test_repeated_edges(self):
+        # 80 edge operands; the copies of an edge make one factor
+        edges = [(i, i + 1) for i in range(4)] * 20
+        for d in (2, 3, 4):
+            assert tnet.count_colorings(edges, 5, d) == d * (d - 1) ** 4
+
+    def test_complete_graphs(self):
+        def K(n):
+            return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+        for n in range(1, 9):
+            for d in range(2, 10):
+                expected = math.perm(d, n) if n <= d else 0
+                assert tnet.count_colorings(K(n), n, d) == expected
+        assert tnet.count_colorings(K(12), 12, 3) == 0
+
+    def test_grid_5x5(self):
+        edges = [(5 * r + c, 5 * r + c + 1) for r in range(5)
+                 for c in range(4)]
+        edges += [(5 * r + c, 5 * r + c + 5) for r in range(4)
+                  for c in range(5)]
+        assert tnet.count_colorings(edges, 25, 3) == 580_986
+
+    def test_star_is_eliminated_leaves_first(self):
+        # summing out the centre first would build a 3^25 factor
+        edges = [(0, i) for i in range(1, 26)]
+        assert tnet.count_colorings(edges, 26, 3) == 3 * 2 ** 25
+
+    def test_oversized_factor_rejected_before_allocating(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("einsum ran")
+
+        monkeypatch.setattr(np, "einsum", forbidden)
+        edges = [(i, j) for i in range(26) for j in range(i + 1, 26)]
+        with pytest.raises(BadParameter, match="4\\^25 entries"):
+            tnet.count_colorings(edges, 26, 4)
+
     @pytest.mark.parametrize("edges", [[(0, 5)], [(0, 1), (3, 1)],
                                        [(-1, 2)]])
     def test_edge_outside_vertices_rejected(self, edges):
