@@ -41,17 +41,23 @@ def bell_prepare(variant: str = "phi+") -> np.ndarray:
     return psi
 
 
+def _teleport_premeasure(psi: np.ndarray) -> np.ndarray:
+    """psi on qubit 0 and phi+ on qubits 1, 2, after Alice's CNOT 0 -> 1
+    and H on 0: the state both teleport functions measure."""
+    if psi.size != 2:
+        raise DimensionMismatch("teleport expects a single-qubit state")
+    state = np.kron(psi, bell_prepare("phi+"))
+    state = sc.apply_gate(state, sc.CNOT, [0, 1])
+    return sc.apply_gate(state, sc.H, [0])
+
+
 def teleport(psi: np.ndarray, rng: np.random.Generator):
     """Teleport a single-qubit state through a shared phi+ pair.
 
     Qubit 0 holds psi; qubits 1,2 hold the Bell pair. Returns
     ((m1, m2), output single-qubit state).
     """
-    if psi.size != 2:
-        raise DimensionMismatch("teleport expects a single-qubit state")
-    state = np.kron(psi, bell_prepare("phi+"))
-    state = sc.apply_gate(state, sc.CNOT, [0, 1])
-    state = sc.apply_gate(state, sc.H, [0])
+    state = _teleport_premeasure(psi)
     m1, state = sc.measure(state, 0, rng)
     m2, state = sc.measure(state, 1, rng)
     if m2:
@@ -66,10 +72,7 @@ def teleport(psi: np.ndarray, rng: np.random.Generator):
 def teleport_branches(psi: np.ndarray):
     """The four post-measurement states of qubit 2 *before* correction,
     indexed by (m1, m2). Useful against the case-table oracle."""
-    state = np.kron(psi, bell_prepare("phi+"))
-    state = sc.apply_gate(state, sc.CNOT, [0, 1])
-    state = sc.apply_gate(state, sc.H, [0])
-    t = state.reshape(2, 2, 2)
+    t = _teleport_premeasure(psi).reshape(2, 2, 2)
     out = {}
     for m1 in (0, 1):
         for m2 in (0, 1):
@@ -322,7 +325,15 @@ def _qpe_eigen_filter(A: np.ndarray, x: np.ndarray, f, t_bits: int):
     if p_acc < 1e-12:
         raise PostselectionImpossible("acceptance probability vanishes")
     out = V @ out_eig
-    return out / np.linalg.norm(out), p_acc, lam, c
+    return out / np.linalg.norm(out), p_acc
+
+
+def _phase_aligned_distance(out: np.ndarray, exact: np.ndarray) -> float:
+    """|| out - e^{i phi} exact / ||exact|| || with the global phase phi
+    that best aligns the normalised target with the state `out`."""
+    exact = exact / np.linalg.norm(exact)
+    return float(np.linalg.norm(out - exact * np.vdot(exact, out)
+                                / abs(np.vdot(exact, out))))
 
 
 def qpe_matrix_multiply(A: np.ndarray, x: np.ndarray, t_bits: int = 8):
@@ -335,12 +346,8 @@ def qpe_matrix_multiply(A: np.ndarray, x: np.ndarray, t_bits: int = 8):
     lam = np.linalg.eigvalsh((A + A.conj().T) / 2)
     if lam.min() <= 0 or lam.max() >= 1:
         raise ValueError("eigenvalues must lie in (0, 1)")
-    out, p_acc, _, _ = _qpe_eigen_filter(A, x, lambda v: v, t_bits)
-    exact = A @ x
-    exact = exact / np.linalg.norm(exact)
-    err = float(np.linalg.norm(out - exact * np.vdot(exact, out)
-                               / abs(np.vdot(exact, out))))
-    return out, p_acc, err
+    out, p_acc = _qpe_eigen_filter(A, x, lambda v: v, t_bits)
+    return out, p_acc, _phase_aligned_distance(out, A @ x)
 
 
 def qpe_matrix_invert(A: np.ndarray, x: np.ndarray, C: float,
@@ -357,12 +364,8 @@ def qpe_matrix_invert(A: np.ndarray, x: np.ndarray, C: float,
             out = np.where(v > 0, C / np.maximum(v, 1e-300), 0.0)
         return np.clip(out, 0.0, 1.0)
 
-    out, p_acc, _, _ = _qpe_eigen_filter(A, x, f, t_bits)
-    exact = np.linalg.solve(A, x)
-    exact = exact / np.linalg.norm(exact)
-    err = float(np.linalg.norm(out - exact * np.vdot(exact, out)
-                               / abs(np.vdot(exact, out))))
-    return out, p_acc, err
+    out, p_acc = _qpe_eigen_filter(A, x, f, t_bits)
+    return out, p_acc, _phase_aligned_distance(out, np.linalg.solve(A, x))
 
 
 def matrix_multiply_p_acc(A: np.ndarray, x: np.ndarray) -> float:

@@ -63,9 +63,9 @@ def bits_of(value: int, width: int) -> tuple[int, ...]:
     return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
 
 
-def amplitude_encode(vectors, normalize: bool = False) -> np.ndarray:
+def amplitude_encode(vectors) -> np.ndarray:
     """(1/sqrt(M)) sum_m sum_j x^m_j |j>|m>, with zero padding to powers
-    of two. Vectors must be unit norm unless normalize=True."""
+    of two. Vectors must be unit norm."""
     vectors = [np.asarray(v, dtype=complex) for v in vectors]
     M = len(vectors)
     N = vectors[0].size
@@ -74,8 +74,6 @@ def amplitude_encode(vectors, normalize: bool = False) -> np.ndarray:
             raise BadLength("vectors differ in length")
         if np.linalg.norm(v) < 1e-14:
             raise ZeroVector("zero vector cannot be amplitude encoded")
-    if normalize:
-        vectors = [v / np.linalg.norm(v) for v in vectors]
     n_j = max(1, math.ceil(math.log2(N)))
     n_m = max(0, math.ceil(math.log2(M))) if M > 1 else 0
     out = np.zeros(2 ** (n_j + n_m), dtype=complex)
@@ -161,15 +159,13 @@ def encoding_unitary(spec: EncodingSpec, x: float) -> np.ndarray:
 
 def frequency_spectrum(spec: EncodingSpec, layers: int = 1) -> np.ndarray:
     """Omega = {Lambda_k - Lambda_j} over L-fold sums of generator
-    eigenvalues; sorted, symmetric, contains 0."""
-    eigs = generator_eigenvalues(spec)
-    L = layers * _layer_reps(spec)
-    sums = {0.0}
-    for _ in range(L):
-        sums = {s + e for s in sums for e in eigs}
-    sums = np.array(sorted(sums))
-    omegas = sorted({round(float(a - b), 12) for a in sums for b in sums})
-    return np.array(omegas)
+    eigenvalues; sorted, symmetric, contains 0. Each weight w of the L-fold
+    generator adds one of -w, 0, +w to a difference, so Omega is the
+    Minkowski sum of the sets {-w, 0, +w}."""
+    om = np.zeros(1)
+    for w in _z_weights(spec) * (layers * _layer_reps(spec)):
+        om = np.unique(np.round(om[:, None] + (-w, 0.0, w), 12))
+    return om
 
 
 # --- Fourier fitting ---------------------------------------------------------
@@ -191,15 +187,15 @@ def _sampled_spectrum(model, omegas, oversample: int):
                   for i, c in enumerate(all_c)}
 
 
-def fit_fourier_coefficients(model, omegas, oversample: int = 2) -> dict:
+def fit_fourier_coefficients(model, omegas) -> dict:
     """Fit f(x) = sum_w c_w e^{iwx} on an integer spectrum.
 
-    Samples the 2*pi-periodic model at K = 2*oversample*max(Omega) + 1
-    equispaced points and inverts the DFT. Raises AliasedSpectrum when the
+    Samples the 2*pi-periodic model at K = 4*max(Omega) + 1 (oversampling
+    2) equispaced points and inverts the DFT. Raises AliasedSpectrum when the
     off-spectrum residual power exceeds 1e-8 (the model has frequencies the
     sampling grid cannot separate from Omega).
     """
-    ints, all_c = _sampled_spectrum(model, omegas, oversample)
+    ints, all_c = _sampled_spectrum(model, omegas, 2)
     coeffs = {int(w): complex(c) for w, c in all_c.items() if w in ints}
     off_power = sum(abs(c) ** 2 for w, c in all_c.items() if w not in ints)
     if off_power > 1e-8:
@@ -209,10 +205,10 @@ def fit_fourier_coefficients(model, omegas, oversample: int = 2) -> dict:
     return coeffs
 
 
-def off_spectrum_power(model, omegas, oversample: int = 4) -> float:
+def off_spectrum_power(model, omegas) -> float:
     """Total squared coefficient mass outside the integer spectrum Omega
-    (diagnostic)."""
-    ints, all_c = _sampled_spectrum(model, omegas, oversample)
+    (diagnostic), sampled at K = 8*max(Omega) + 1 points (oversampling 4)."""
+    ints, all_c = _sampled_spectrum(model, omegas, 4)
     return float(sum(abs(c) ** 2 for w, c in all_c.items() if w not in ints))
 
 

@@ -170,15 +170,12 @@ def quadratic_features(x) -> np.ndarray:
     return np.concatenate([[1.0], np.outer(x, x).ravel()])
 
 
-def quadratic_feature_regression(X, y, reg: float = 0.0):
+def quadratic_feature_regression(X, y):
     """Least-squares fit of labels on quadratic features; returns a
     predictor function."""
     F = np.array([quadratic_features(x) for x in X])
     y = np.asarray(y, dtype=float)
-    if reg:
-        w = np.linalg.solve(F.T @ F + reg * np.eye(F.shape[1]), F.T @ y)
-    else:
-        w, *_ = np.linalg.lstsq(F, y, rcond=None)
+    w, *_ = np.linalg.lstsq(F, y, rcond=None)
 
     def f(x):
         return float(quadratic_features(x) @ w)

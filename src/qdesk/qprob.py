@@ -25,22 +25,22 @@ EIG_CLIP = 1e-14  # spectral floor before taking logs
 MAJ_TOL = 1e-12
 
 
-def check_prob_vector(p, tol: float = 1e-12) -> np.ndarray:
+def check_prob_vector(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
-    if np.any(p < -tol):
+    if np.any(p < -1e-12):
         raise ValueError("negative probability component")
-    if abs(p.sum() - 1.0) > tol:
+    if abs(p.sum() - 1.0) > 1e-12:
         raise ValueError(f"probabilities sum to {p.sum()}, not 1")
     return np.clip(p, 0.0, None)
 
 
-def check_density_matrix(rho, tol: float = 1e-10) -> np.ndarray:
+def check_density_matrix(rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if not np.allclose(rho, rho.conj().T, atol=1e-12):
         raise ValueError("density matrix not Hermitian")
     if abs(np.trace(rho).real - 1.0) > 1e-12:
         raise ValueError("density matrix trace != 1")
-    if np.linalg.eigvalsh(rho).min() < -tol:
+    if np.linalg.eigvalsh(rho).min() < -1e-10:
         raise ValueError("density matrix not PSD")
     return rho
 

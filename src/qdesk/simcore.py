@@ -83,8 +83,8 @@ def basis_state(n: int, index: int = 0) -> np.ndarray:
     return psi
 
 
-def is_unitary(U: np.ndarray, tol: float = 1e-10) -> bool:
-    return np.allclose(U.conj().T @ U, np.eye(U.shape[0]), atol=tol)
+def is_unitary(U: np.ndarray) -> bool:
+    return np.allclose(U.conj().T @ U, np.eye(U.shape[0]), atol=1e-10)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -193,11 +193,11 @@ def statevector_to_density(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def kraus_apply(rho: np.ndarray, ops, tol: float = 1e-8) -> np.ndarray:
+def kraus_apply(rho: np.ndarray, ops) -> np.ndarray:
     """Apply the channel rho -> sum_k A_k rho A_k^dag."""
     dim = rho.shape[0]
     total = sum(A.conj().T @ A for A in ops)
-    if not np.allclose(total, np.eye(dim), atol=tol):
+    if not np.allclose(total, np.eye(dim), atol=1e-8):
         raise NotTracePreserving("Kraus operators do not sum to identity")
     return sum(A @ rho @ A.conj().T for A in ops)
 

@@ -183,8 +183,11 @@ def count_colorings(edges, n_vertices: int, d: int) -> int:
     Vertices are summed out one at a time, each time the one whose
     elimination leaves the smallest factor (ties go to the lower index): one
     einsum contracts the factors that touch it. Raises BadParameter before
-    a factor of more than MAX_FACTOR entries would be built. Counts are
-    exact while d^n_vertices <= 2^53, where float64 sums hold integers."""
+    a factor of more than MAX_FACTOR entries would be built, and after an
+    einsum that builds an entry of 2^53 or more, past which float64 no
+    longer holds every integer. All entries are non-negative integers, so
+    every partial sum and product of an einsum lies at or below the entry
+    it ends in: a count that returns is exact."""
     letters = "abcdefghijklmnopqrstuvwxyz"
     if n_vertices > len(letters):
         raise BadLength("too many vertices")
@@ -221,6 +224,10 @@ def count_colorings(edges, n_vertices: int, d: int) -> int:
             continue
         spec = ",".join("".join(letters[u] for u in k) for k in touching)
         t = np.einsum(f"{spec}->{out}", *(factors.pop(k) for k in touching))
+        if not t.max() < 2.0**53:  # a nan from inf * 0 raises too
+            raise BadParameter(
+                f"summing out vertex {v} gives a partial count of 2^53 or "
+                "more, which float64 does not hold exactly")
         if scope:
             add(scope, t)
         else:  # a connected component is summed out
@@ -325,15 +332,10 @@ def projector_to_dense(model: ProjectorMPS) -> np.ndarray:
 
 
 def projector_frobenius(model: ProjectorMPS) -> float:
-    """||P||_F by a sequential sweep summing both physical legs."""
-    L = np.ones((1, 1), dtype=complex)
-    for core in model.cores:
-        Dl = core.shape[0]
-        Dr = core.shape[-1]
-        A = core.reshape(Dl, -1, Dr)
-        tmp = np.tensordot(L, A, axes=(1, 0))       # (Dl, mid, Dr)
-        L = np.tensordot(A.conj(), tmp, axes=([0, 1], [0, 1]))
-    return float(np.sqrt(max(L[0, 0].real, 0.0)))
+    """||P||_F: the sequential mps_norm of the cores with both physical
+    legs merged into one, (Dl, d * d_out, Dr)."""
+    return mps_norm(MPS([c.reshape(c.shape[0], -1, c.shape[-1])
+                         for c in model.cores]))
 
 
 def anomaly_score(model: ProjectorMPS, x, return_ops: bool = False):

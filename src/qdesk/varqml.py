@@ -157,10 +157,10 @@ def stochastic_parameter_shift(circ: ParamCircuit, t: int, label: str,
 
 
 def exact_x_gradient(circ: ParamCircuit, t: int, label: str, theta, O,
-                     psi0=None, quad_points: int = 64) -> float:
-    """Deterministic dC/dx_{t,label} by Gauss-Legendre quadrature of the
-    shift-rule integrand (oracle for the stochastic estimator)."""
-    nodes, weights = np.polynomial.legendre.leggauss(quad_points)
+                     psi0=None) -> float:
+    """Deterministic dC/dx_{t,label} by 64-point Gauss-Legendre quadrature
+    of the shift-rule integrand (oracle for the stochastic estimator)."""
+    nodes, weights = np.polynomial.legendre.leggauss(64)
     s = (nodes + 1) / 2
     w = weights / 2
     return float(sum(wi * _shift_integrand(circ, theta, O, psi0, t, label, si)
@@ -169,20 +169,13 @@ def exact_x_gradient(circ: ParamCircuit, t: int, label: str, theta, O,
 
 # --- VQE ---------------------------------------------------------------------
 
-def gradient_descent(fn, grad_fn, theta0, lr: float = 0.1, steps: int = 200,
-                     momentum: float = 0.0, tol: float = 0.0):
-    """Plain gradient descent with optional momentum."""
+def gradient_descent(fn, grad_fn, theta0, lr: float = 0.1, steps: int = 200):
+    """Plain gradient descent: `steps` updates theta -= lr * grad."""
     theta = np.asarray(theta0, dtype=float).copy()
-    vel = np.zeros_like(theta)
     history = [fn(theta)]
     for _ in range(steps):
-        g = grad_fn(theta)
-        vel = momentum * vel - lr * g
-        theta = theta + vel
+        theta = theta - lr * grad_fn(theta)
         history.append(fn(theta))
-        if tol and abs(history[-2] - history[-1]) < tol and \
-                np.linalg.norm(g) < tol:
-            break
     return theta, history
 
 
@@ -351,8 +344,8 @@ def _qaoa_state(n: int, diag, gammas, betas) -> np.ndarray:
 
 
 def qaoa(model: IsingModel, p: int, rng: np.random.Generator,
-         restarts: int = 8, lr: float = 0.05, steps: int = 250):
-    """Optimize QAOA angles by multistart gradient descent.
+         restarts: int = 8, steps: int = 250):
+    """Optimize QAOA angles by multistart gradient descent, step 0.05.
 
     Returns (angles, best bitstring, approximation ratio) where the ratio
     compares the expected energy against the brute-force optimum.
@@ -373,7 +366,7 @@ def qaoa(model: IsingModel, p: int, rng: np.random.Generator,
         angles0 = rng.uniform(0, np.pi, 2 * p)
         angles, hist = gradient_descent(
             expected, lambda a: finite_difference_gradient(expected, a, 1e-6),
-            angles0, lr=lr, steps=steps,
+            angles0, lr=0.05, steps=steps,
         )
         if hist[-1] < best_val:
             best_val, best_angles = hist[-1], angles
@@ -425,16 +418,16 @@ def qboost_loss(predictions, labels, q_bits, lam: float, bits: int = 3):
     return float(resid @ resid / N + lam * q.sum())
 
 
-def simulated_annealing_qubo(Q, rng: np.random.Generator, sweeps: int = 400,
-                             t0: float = 2.0, t1: float = 0.01):
-    """Standard single-flip simulated annealing on a QUBO."""
+def simulated_annealing_qubo(Q, rng: np.random.Generator, sweeps: int = 400):
+    """Standard single-flip simulated annealing on a QUBO, cooling
+    geometrically from T = 2.0 to T = 0.01 over the sweeps."""
     Q = np.asarray(Q, dtype=float)
     n = Q.shape[0]
     x = rng.integers(0, 2, n).astype(float)
     Qs = Q + Q.T
     e = float(x @ Q @ x)
     best_x, best_e = x.copy(), e
-    temps = np.geomspace(t0, t1, sweeps)
+    temps = np.geomspace(2.0, 0.01, sweeps)
     for T in temps:
         for i in rng.permutation(n):
             delta = (1 - 2 * x[i]) * (Qs[i] @ x) + Q[i, i]
@@ -508,15 +501,15 @@ def _act(op, psi: np.ndarray) -> np.ndarray:
 
 
 def barren_gradient_sample(n: int, H, V, rng: np.random.Generator,
-                           mode: str = "brickwork",
-                           depth: int | None = None, psi0=None) -> float:
+                           mode: str = "brickwork") -> float:
     """One draw of dE/dtheta at theta = 0 for E = <0|U-^dag e^{i theta V}
     U+^dag H U+ e^{-i theta V} U-|0>, i.e. i<chi|[V, U+^dag H U+]|chi> with
     chi = U-|0>. For Hermitian H and V that is -2 Im<U+ V chi|H|U+ chi>,
     so only the pair (chi, V chi) is pushed through U+; every U- gate is
-    drawn before any U+ gate. H and V are matrices or callables that act
-    on the last axis of a state."""
-    psi = sc.basis_state(n) if psi0 is None else np.asarray(psi0, complex)
+    drawn before any U+ gate. Brickwork U- and U+ have depth 3n each. H
+    and V are matrices or callables that act on the last axis of a
+    state."""
+    psi = sc.basis_state(n)
     if not callable(H):
         H = np.asarray(H, dtype=complex)
     if mode == "haar":
@@ -525,20 +518,18 @@ def barren_gradient_sample(n: int, H, V, rng: np.random.Generator,
         chi = Um @ psi
         pair = np.stack([chi, _act(V, chi)]) @ Up.T
     elif mode == "brickwork":
-        depth = depth or 3 * n
         chi = psi
-        for g, targets in _brickwork_gates(n, depth, rng):
+        for g, targets in _brickwork_gates(n, 3 * n, rng):
             chi = sc.apply_gate(chi, g, targets)
         pair = np.stack([chi, _act(V, chi)])
-        for g, targets in _brickwork_gates(n, depth, rng):
+        for g, targets in _brickwork_gates(n, 3 * n, rng):
             pair = sc.apply_gate(pair, g, targets)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return float(-2 * np.vdot(pair[1], _act(H, pair[0])).imag)
 
 
-def case3_variance(H, V, n: int, purity: float = 1.0,
-                   exact: bool = True) -> float:
+def case3_variance(H, V, n: int, exact: bool = True) -> float:
     """Closed-form gradient variance when both U- and U+ are independent
     2-designs and the input state is pure, for dense H and V; see
     case3_variance_from_traces."""
@@ -546,7 +537,7 @@ def case3_variance(H, V, n: int, purity: float = 1.0,
     V = np.asarray(V, dtype=complex)
     tr_v2, tr_v = _square_and_trace(V)
     return case3_variance_from_traces(_traceless_square(H), tr_v2, tr_v, n,
-                                      purity, exact)
+                                      exact)
 
 
 def _traceless_square(H: np.ndarray) -> float:
@@ -562,9 +553,9 @@ def _square_and_trace(V: np.ndarray) -> tuple:
 
 
 def case3_variance_from_traces(tr_h2: float, tr_v2: float, tr_v: float,
-                               n: int, purity: float = 1.0,
-                               exact: bool = True) -> float:
-    """The case-3 variance from tr(H~^2), tr(V^2) and tr(V).
+                               n: int, exact: bool = True) -> float:
+    """The case-3 variance from tr(H~^2), tr(V^2) and tr(V), for a pure
+    input state (tr rho^2 = 1).
 
     The exact Haar average is
         2 tr(H~^2) [d tr(V^2) - tr(V)^2] / (d (d+1) (d^2 - 1)),
@@ -574,9 +565,9 @@ def case3_variance_from_traces(tr_h2: float, tr_v2: float, tr_v: float,
     exact=False."""
     d = 2**n
     if exact:
-        return float(2 * tr_h2 * purity * (d * tr_v2 - tr_v**2)
+        return float(2 * tr_h2 * (d * tr_v2 - tr_v**2)
                      / (d * (d + 1) * (d**2 - 1)))
-    return float(2 * tr_h2 * purity * (tr_v2 / d**3 - tr_v**2 / d**4))
+    return float(2 * tr_h2 * (tr_v2 / d**3 - tr_v**2 / d**4))
 
 
 def _global_cost(d: int):
@@ -731,13 +722,12 @@ def solve_ivp(hamiltonian, t_grid, psi0) -> Propagation:
     return Propagation(np.array(states), nfev)
 
 
-def landau_zener(alpha: float, Delta: float,
-                 span_factor: float = 60.0) -> float:
+def landau_zener(alpha: float, Delta: float) -> float:
     """Propagate the two-level sweep H(t) = [[a t/2, D], [D, -a t/2]] over
     [-T0, T0] from the instantaneous ground state and return the
     probability of a non-adiabatic transition.
 
-    T0 = span_factor * max(D/a, 1/D, 1/sqrt(a)). The sweep is one interval
+    T0 = 60 * max(D/a, 1/D, 1/sqrt(a)). The sweep is one interval
     of solve_ivp, whose change rule never binds on this linear ramp, so it
     takes ceil(2 T0 |H(T0)| / 0.25) Magnus steps, |H(T0)| = hypot(a T0/2, D):
     no step turns the phase by more than a quarter radian at the ends, where
@@ -745,7 +735,7 @@ def landau_zener(alpha: float, Delta: float,
     if Delta == 0.0:
         return 1.0
     t_char = max(Delta / alpha, 1 / Delta, 1 / np.sqrt(alpha))
-    T0 = span_factor * t_char
+    T0 = 60.0 * t_char
 
     def hamiltonian(t):
         return (alpha * t / 2)[:, None, None] * sc.Z.real + Delta * sc.X.real
@@ -755,12 +745,12 @@ def landau_zener(alpha: float, Delta: float,
     return float(abs(np.vdot(V[1, :, 1], psi)) ** 2)
 
 
-def adiabatic_follow(H0, H1, T: float, schedule=None, n_checks: int = 51):
+def adiabatic_follow(H0, H1, T: float, schedule=None):
     """Propagate H(t) = (1 - lam(t/T)) H0 + lam(t/T) H1 from the ground
     state of H0; returns (s grid, fidelity with the instantaneous ground
     state).
 
-    The n_checks - 1 check intervals, of length tau = T / (n_checks - 1),
+    The 50 check intervals between 51 check points, of length tau = T / 50,
     are the intervals of solve_ivp. Each takes ceil(tau |H|max / 0.25)
     Magnus steps, with |H|max the largest spectral norm of H(s) on the check
     grid, so that no step turns the phase by more than a quarter radian.
@@ -781,7 +771,7 @@ def adiabatic_follow(H0, H1, T: float, schedule=None, n_checks: int = 51):
         raise IntegratorDiverged("degenerate initial ground state")
     psi0 = V[:, 0]
 
-    s_grid = np.linspace(0, 1, n_checks)
+    s_grid = np.linspace(0, 1, 51)
     _, V = np.linalg.eigh(H(s_grid))
     states = solve_ivp(lambda t: H(t / T), s_grid * T, psi0).states
     fids = np.abs(np.einsum("ij,ij->i", V[:, :, 0].conj(), states)) ** 2

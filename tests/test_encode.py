@@ -103,10 +103,14 @@ class TestSpectra:
         )
 
     def test_exponential_size(self):
-        # beta_j = 3^{j-1} gives |Omega| = 3^N
-        for N in range(1, 6):
+        # beta_j = 3^{j-1} gives |Omega| = 3^N: every integer up to
+        # (3^N - 1)/2 in magnitude (Schuld, Sweke & Meyer 2021)
+        for N in (1, 2, 3, 4, 5, 12):
             spec = encode.EncodingSpec("exponential", {"N": N})
-            assert encode.frequency_spectrum(spec).size == 3**N
+            omega = encode.frequency_spectrum(spec)
+            assert omega.size == 3**N
+            half = (3**N - 1) // 2
+            assert np.array_equal(omega, np.arange(-half, half + 1))
 
     def test_exponential_requires_l3(self):
         spec = encode.EncodingSpec("exponential", {"N": 2, "l": 2})

@@ -179,6 +179,14 @@ class TestColorings:
         with pytest.raises(BadParameter, match="4\\^25 entries"):
             tnet.count_colorings(edges, 26, 4)
 
+    def test_count_past_float64_integers_rejected(self):
+        # 26 * 25^25 > 2^53: float64 sums would return a rounded count
+        path = [(i, i + 1) for i in range(25)]
+        with pytest.raises(BadParameter, match="2\\^53"):
+            tnet.count_colorings(path, 26, 26)
+        # no factor is built, so the count stays an exact Python int
+        assert tnet.count_colorings([], 26, 26) == 26 ** 26
+
     @pytest.mark.parametrize("edges", [[(0, 5)], [(0, 1), (3, 1)],
                                        [(-1, 2)]])
     def test_edge_outside_vertices_rejected(self, edges):
