@@ -251,8 +251,8 @@ def _exp_landau_zener(rng, eta_grid=[0.05, 0.1, 0.3, 0.6, 1.0, 1.5]):
     return ["eta", "probability", "formula"], rows
 
 
-# one qubit per vertex index; a restart takes 250 descent steps of 4p + 1
-# depth-p circuits each
+# one qubit per vertex index; a restart takes 250 descent steps, each one
+# batch of the 4p shifted rows of a depth-p circuit's gradient
 @experiment("qaoa-maxcut", edges=Each(Pair(Int(0, MAX_QUBITS - 1))),
             p=AtMost(Int(1), 16), restarts=AtMost(Int(1), 100))
 def _exp_qaoa_maxcut(rng, edges=[[0, 1], [1, 2], [0, 2]], p=2, restarts=6):

@@ -88,20 +88,21 @@ def is_unitary(U: np.ndarray) -> bool:
 
 
 @functools.lru_cache(maxsize=4096)
-def _axis_orders(n: int, targets: tuple, batched: bool):
+def _axis_orders(n: int, targets: tuple, batch_at: int | None):
     """Transpose that brings the target axes of a rank-n amplitude tensor
-    (after the batch axis, when batched) to the front, and its inverse.
+    to the front, and its inverse. With a batch axis in front of the
+    tensor, `batch_at` is where the transpose puts it: after the targets
+    (k) for one gate on every row, first (0) for a gate per row.
     Validates the targets, so only a new (n, targets) pays for the check."""
     for q in targets:
         if not 0 <= q < n:
             raise TargetOutOfRange(f"qubit {q} out of range for n={n}")
     if len(set(targets)) != len(targets):
         raise TargetOutOfRange("duplicate target qubits")
-    rest = [q for q in range(n) if q not in targets]
-    if batched:
-        order = [q + 1 for q in targets] + [0] + [q + 1 for q in rest]
-    else:
-        order = list(targets) + rest
+    order = list(targets) + [q for q in range(n) if q not in targets]
+    if batch_at is not None:
+        order = [q + 1 for q in order]
+        order.insert(batch_at, 0)
     return tuple(order), tuple(int(i) for i in np.argsort(order))
 
 
@@ -118,24 +119,35 @@ def apply_gate(state: np.ndarray, gate: np.ndarray, targets) -> np.ndarray:
     """Apply a 2^k x 2^k unitary to the given target qubits.
 
     `state` is one state of shape (2^n,) or a batch of b states of shape
-    (b, 2^n), one per row; the result has the same shape. Works by index
-    arithmetic on the amplitude array: reshape to a rank-n tensor per
-    state, pull the target axes to the front and hit them with the matrix.
-    No 2^n x 2^n matrix is ever built.
+    (b, 2^n), one per row; the result has the same shape. `gate` is one
+    matrix for every row, or for a batch a stack of shape (b, 2^k, 2^k):
+    row r then takes gate r, with the same product as a call on row r
+    alone. Works by index arithmetic on the amplitude array: reshape to a
+    rank-n tensor per state, pull the target axes to the front and hit
+    them with the matrix. No 2^n x 2^n matrix is ever built.
     """
     n = _register_width(state)
     targets = tuple(targets)
     k = len(targets)
-    if gate.shape != (2**k, 2**k):
-        raise DimensionMismatch(
-            f"gate of shape {gate.shape} does not act on {k} qubits"
-        )
     batch = state.shape[:-1]
-    order, inverse = _axis_orders(n, targets, bool(batch))
-    psi = state.reshape(batch + (2,) * n).transpose(order).reshape(2**k, -1)
-    psi = gate @ psi
-    return psi.reshape((2,) * k + batch + (2,) * (n - k)) \
-        .transpose(inverse).reshape(state.shape)
+    if gate.ndim == 3:
+        if gate.shape != batch + (2**k, 2**k):
+            raise DimensionMismatch(
+                f"gate stack of shape {gate.shape} does not give one {k}-qubit"
+                f" gate per row of a state of shape {state.shape}"
+            )
+        order, inverse = _axis_orders(n, targets, 0)
+        front, mid = batch + (2**k,), batch + (2,) * n
+    else:
+        if gate.shape != (2**k, 2**k):
+            raise DimensionMismatch(
+                f"gate of shape {gate.shape} does not act on {k} qubits"
+            )
+        order, inverse = _axis_orders(n, targets, k if batch else None)
+        front, mid = (2**k,), (2,) * k + batch + (2,) * (n - k)
+    psi = state.reshape(batch + (2,) * n).transpose(order)
+    psi = gate @ psi.reshape(front + (-1,))
+    return psi.reshape(mid).transpose(inverse).reshape(state.shape)
 
 
 def apply_gate_density(rho: np.ndarray, gate: np.ndarray, targets) -> np.ndarray:
@@ -291,13 +303,20 @@ def exp_hamiltonian(Hm: np.ndarray, t: float) -> np.ndarray:
     return (V * np.exp(-1j * w * t)) @ V.conj().T
 
 
+def _haar_unitaries(k: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """k Haar unitaries, shape (k, dim, dim), from one Ginibre draw and one
+    stacked QR. Each takes its real block and then its imaginary block from
+    the stream, so the k are the same bits as k haar_random_unitary calls."""
+    A = rng.standard_normal((k, 2, dim, dim))
+    Q, R = np.linalg.qr(A[:, 0] + 1j * A[:, 1])
+    d = np.diagonal(R, axis1=-2, axis2=-1)
+    return Q * (d / np.abs(d))[:, None, :]
+
+
 def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary: QR of a Ginibre matrix with the R diagonal
     phase fix."""
-    A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    Q, R = np.linalg.qr(A)
-    d = np.diagonal(R)
-    return Q * (d / np.abs(d))
+    return _haar_unitaries(1, dim, rng)[0]
 
 
 def haar_random_state(dim: int, rng: np.random.Generator) -> np.ndarray:

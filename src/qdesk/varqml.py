@@ -332,15 +332,47 @@ def qaoa_state(model: IsingModel, gammas, betas) -> np.ndarray:
 
 
 def _qaoa_state(n: int, diag, gammas, betas) -> np.ndarray:
-    """qaoa_state from the precomputed phase diagonal (no constant)."""
-    psi = np.full(2**n, 1 / np.sqrt(2**n), dtype=complex)
-    for g, b in zip(gammas, betas):
-        psi = np.exp(-1j * g * diag) * psi
-        # e^{-i b X} factorizes per qubit
-        rxg = sc.rx(2 * b)
+    """qaoa_state from the precomputed phase diagonal (no constant), for
+    angle arrays of shape (..., p): one state per row, shape (..., 2^n).
+    The rows pass each layer together, one mixer gate per row."""
+    G = np.asarray(gammas, dtype=float)
+    B = np.asarray(betas, dtype=float)
+    if G.shape != B.shape:
+        raise DimensionMismatch(
+            f"gammas of shape {G.shape} and betas of shape {B.shape}")
+    lead, p = G.shape[:-1], G.shape[-1]
+    G, B = G.reshape(-1, p), B.reshape(-1, p)
+    psi = np.full((len(G), 2**n), 1 / np.sqrt(2**n), dtype=complex)
+    mixer = np.empty((len(G), 2, 2), dtype=complex)
+    for j in range(p):
+        psi = np.exp(-1j * G[:, j, None] * diag) * psi
+        # e^{-i b X} factorizes per qubit: sc.rx(2 b) per row, whose half
+        # angle is b exactly, so its entries are the same floats
+        c, s = np.cos(B[:, j]), np.sin(B[:, j])
+        mixer[:, 0, 0] = mixer[:, 1, 1] = c
+        mixer[:, 0, 1] = mixer[:, 1, 0] = -1j * s
         for q in range(n):
-            psi = sc.apply_gate(psi, rxg, [q])
-    return psi
+            psi = sc.apply_gate(psi, mixer, [q])
+    return psi.reshape(lead + (2**n,))
+
+
+def _qaoa_descent(energies, theta0, steps: int):
+    """gradient_descent(expected, lambda a: finite_difference_gradient(
+    expected, a, 1e-6), theta0, lr=0.05, steps=steps), the same floats, for
+    `energies`, which maps (R, m) angle rows to R expected energies: each
+    step evaluates the 2m shifted rows of its gradient in one call.
+    Returns (theta, its energy); qaoa reads no earlier energy."""
+    h, lr = 1e-6, 0.05
+    theta = np.asarray(theta0, dtype=float).copy()
+    m = theta.size
+    for _ in range(steps):
+        rows = np.repeat(theta[None], 2 * m, axis=0)
+        for i in range(m):  # as finite_difference_gradient forms up and dn
+            rows[2 * i, i] += h
+            rows[2 * i + 1, i] -= h
+        vals = energies(rows)
+        theta = theta - lr * ((vals[0::2] - vals[1::2]) / (2 * h))
+    return theta, float(energies(theta[None])[0])
 
 
 def qaoa(model: IsingModel, p: int, rng: np.random.Generator,
@@ -357,19 +389,16 @@ def qaoa(model: IsingModel, p: int, rng: np.random.Generator,
     e_min = diag_e.min()
     e_max = diag_e.max()
 
-    def expected(angles):
-        psi = _qaoa_state(n, diag_phase, angles[:p], angles[p:])
-        return float(np.sum(np.abs(psi) ** 2 * diag_e))
+    def energies(rows):
+        psi = _qaoa_state(n, diag_phase, rows[:, :p], rows[:, p:])
+        return np.sum(np.abs(psi) ** 2 * diag_e, axis=-1)
 
     best_angles, best_val = None, np.inf
     for _ in range(restarts):
         angles0 = rng.uniform(0, np.pi, 2 * p)
-        angles, hist = gradient_descent(
-            expected, lambda a: finite_difference_gradient(expected, a, 1e-6),
-            angles0, lr=0.05, steps=steps,
-        )
-        if hist[-1] < best_val:
-            best_val, best_angles = hist[-1], angles
+        angles, val = _qaoa_descent(energies, angles0, steps)
+        if val < best_val:
+            best_val, best_angles = val, angles
     psi = _qaoa_state(n, diag_phase, best_angles[:p], best_angles[p:])
     probs = np.abs(psi) ** 2
     best_idx = int(np.argmax(probs))
@@ -481,10 +510,10 @@ def tfim_gibbs(model: IsingModel, T: float):
 
 def _brickwork_gates(n: int, depth: int, rng: np.random.Generator):
     """(gate, targets) of alternating layers of Haar-random two-qubit
-    blocks, each drawn when it is reached."""
-    for layer in range(depth):
-        for q in range(layer % 2, n - 1, 2):
-            yield sc.haar_random_unitary(4, rng), (q, q + 1)
+    blocks, all drawn at once in gate order."""
+    pairs = [(q, q + 1) for layer in range(depth)
+             for q in range(layer % 2, n - 1, 2)]
+    return zip(sc._haar_unitaries(len(pairs), 4, rng), pairs)
 
 
 def brickwork_unitary(n: int, depth: int, rng: np.random.Generator) -> np.ndarray:

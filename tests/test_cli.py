@@ -327,6 +327,40 @@ class TestRun:
         assert first == second
         assert first.encode() == second.encode()
 
+    # stdout at seed 11 and default params, as written before the QAOA
+    # descent step and the brickwork Haar blocks were batched
+    PINNED = {
+        "qaoa-maxcut": [
+            "# config_hash=6eff47b26b6600de",
+            "# experiment=qaoa-maxcut",
+            "# seed=11",
+            "# version=0.1.0",
+            "p,best_bits,ratio",
+            "2,001,0.9999999999999998",
+        ],
+        "barren-sweep": [
+            "# config_hash=82d4c6b330c01b86",
+            "# experiment=barren-sweep",
+            "# seed=11",
+            "# version=0.1.0",
+            "n,mean,var,stderr",
+            "2,-0.010580088697297891,0.09147910066363095,0.021386806758330115",
+            "3,0.00881067120820665,0.01904476290836301,0.00975826903409693",
+            "4,-0.0022852027072784546,0.008526047329897276,"
+            "0.006529183459628499",
+            "5,0.0027309567756075843,0.0019746910996899627,"
+            "0.0031422055149925845",
+            "6,0.0007157300677816564,0.0003480132207371922,"
+            "0.0013191156521268183",
+        ],
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pinned_stdout(self, name, tmp_path, capsys):
+        path, _ = write_cfg(tmp_path, experiment=name, seed=11, params={})
+        assert cli.main(["run", "--config", str(path)]) == 0
+        assert capsys.readouterr().out == "\n".join(self.PINNED[name]) + "\n"
+
     @pytest.mark.parametrize("name", sorted(cli.EXPERIMENTS))
     def test_cells_are_plain_values(self, name):
         # numpy scalars are written as numbers, never as "np.float64(...)"

@@ -135,6 +135,35 @@ class TestBatchedKernel:
         with pytest.raises(DimensionMismatch):
             sc.apply_gate_density(np.eye(8)[:4], sc.X, [0])
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_gate_stack_equals_row_by_row(self, n):
+        # row r of a (b, 2^n) batch takes gate r of a (b, 2^k, 2^k) stack,
+        # with the same bits as a call on that row alone
+        rng = np.random.default_rng(40 + n)
+        for k in range(1, min(n, 3) + 1):
+            for targets in itertools.permutations(range(n), k):
+                b = int(rng.integers(1, 4))
+                batch = np.stack([sc.haar_random_state(2**n, rng)
+                                  for _ in range(b)])
+                stack = np.stack([sc.haar_random_unitary(2**k, rng)
+                                  for _ in range(b)])
+                out = sc.apply_gate(batch, stack, targets)
+                rows = [sc.apply_gate(psi, g, targets)
+                        for psi, g in zip(batch, stack)]
+                assert out.shape == batch.shape
+                assert np.array_equal(out, np.stack(rows))
+
+    def test_gate_stack_bad_shapes(self):
+        psi = sc.basis_state(3)
+        batch = np.stack([psi, psi, psi])
+        stack = np.stack([sc.X, sc.H, sc.Z])
+        with pytest.raises(DimensionMismatch):  # one gate short
+            sc.apply_gate(batch, stack[:2], [0])
+        with pytest.raises(DimensionMismatch):  # a stack on one state
+            sc.apply_gate(psi, stack[:1], [0])
+        with pytest.raises(DimensionMismatch):  # one-qubit gates, 2 targets
+            sc.apply_gate(batch, stack, [0, 1])
+
 
 def kron_pauli(label):
     """Pauli string as a kron product of the single-qubit matrices."""
@@ -294,6 +323,21 @@ class TestExpAndHaar:
             U = sc.haar_random_unitary(4, rng)
             acc += U @ rho @ U.conj().T
         assert np.abs(acc / m - np.eye(4) / 4).max() < 0.02
+
+    def test_batched_draw_is_sequential_draws(self):
+        # k unitaries from one draw are the bits of k one-by-one draws by
+        # the Ginibre QR with the R diagonal phase fix, and leave the
+        # stream at the same place
+        for k, dim in ((1, 2), (7, 4), (30, 4), (3, 8)):
+            rng, ref = np.random.default_rng(k), np.random.default_rng(k)
+            batch = sc._haar_unitaries(k, dim, rng)
+            for U in batch:
+                A = ref.standard_normal((dim, dim)) \
+                    + 1j * ref.standard_normal((dim, dim))
+                Q, R = np.linalg.qr(A)
+                d = np.diagonal(R)
+                assert np.array_equal(U, Q * (d / np.abs(d)))
+            assert rng.random() == ref.random()
 
 
 class TestControlledTensor:
@@ -523,6 +567,26 @@ class TestGateFusion:
                             lambda *a: calls.append(a) or apply_gate(*a))
         circ.run()
         assert len(calls) == pairs + 2
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_run_calls_apply_gate_once_per_block(self, data):
+        # the kernel's gate-stack branch leaves Circuit.run one call with
+        # one matrix per fused block
+        n = data.draw(st.integers(1, 5))
+        circ = sc.Circuit(n)
+        for _ in range(data.draw(st.integers(1, 12))):
+            _, targets, g, _ = data.draw(gate_on_register(n=n))
+            circ.add("U", targets, matrix=g)
+        blocks = [t for _, t in circ._blocks()]
+        calls = []
+        apply_gate = sc.apply_gate
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sc, "apply_gate",
+                       lambda *a: calls.append(a) or apply_gate(*a))
+            circ.run()
+        assert [tuple(t) for _, _, t in calls] == blocks
+        assert all(g.ndim == 2 for _, g, _ in calls)
 
     def test_no_kron(self, monkeypatch):
         rng = np.random.default_rng(8)

@@ -8,7 +8,8 @@ import pytest
 
 from qdesk import simcore as sc, varqml as vq
 from qdesk.encode import EncodingSpec, encoding_unitary
-from qdesk.errors import IntegratorDiverged, UnsupportedGenerator
+from qdesk.errors import (DimensionMismatch, IntegratorDiverged,
+                          UnsupportedGenerator)
 from qdesk.errors import NotHermitian
 
 
@@ -281,6 +282,76 @@ class TestQAOA:
         assert np.array_equal(vq._qaoa_state(3, diag, gammas, betas),
                               vq.qaoa_state(model, gammas, betas))
 
+    def test_state_rows_match_rx_loop(self):
+        # the batched builder fills each row's mixer from vectorised cos
+        # and sin; every row is the bits of the one-state loop over sc.rx
+        rng = np.random.default_rng(31)
+        for n in range(1, 7):
+            model = vq.IsingModel(
+                {(i, j): rng.normal() for i in range(n)
+                 for j in range(i + 1, n)}, rng.normal(size=n), const=0.4)
+            diag = model.diagonal(include_const=False)
+            for p in (1, 2, 3):
+                G = rng.uniform(-np.pi, np.pi, (9, p))
+                B = rng.uniform(-np.pi, np.pi, (9, p))
+                rows = vq._qaoa_state(n, diag, G, B)
+                for g_row, b_row, out in zip(G, B, rows):
+                    psi = np.full(2**n, 1 / np.sqrt(2**n), dtype=complex)
+                    for g, b in zip(g_row, b_row):
+                        psi = np.exp(-1j * g * diag) * psi
+                        for q in range(n):
+                            psi = sc.apply_gate(psi, sc.rx(2 * b), [q])
+                    assert np.array_equal(out, psi)
+                    assert np.array_equal(
+                        vq.qaoa_state(model, g_row, b_row), psi)
+        with pytest.raises(DimensionMismatch):  # one beta short
+            vq.qaoa_state(model, [0.4, 0.1], [0.7])
+
+    @staticmethod
+    def reference_qaoa(model, p, rng, restarts, steps):
+        """qaoa from public pieces: one state per angle vector, descent by
+        gradient_descent with finite_difference_gradient at step 1e-6."""
+        n = model.n
+        diag_e = model.diagonal(include_const=False) + model.const
+
+        def expected(angles):
+            psi = vq.qaoa_state(model, angles[:p], angles[p:])
+            return float(np.sum(np.abs(psi) ** 2 * diag_e))
+
+        best_angles, best_val = None, np.inf
+        for _ in range(restarts):
+            angles, hist = vq.gradient_descent(
+                expected,
+                lambda a: vq.finite_difference_gradient(expected, a, 1e-6),
+                rng.uniform(0, np.pi, 2 * p), lr=0.05, steps=steps)
+            if hist[-1] < best_val:
+                best_val, best_angles = hist[-1], angles
+        psi = vq.qaoa_state(model, best_angles[:p], best_angles[p:])
+        idx = int(np.argmax(np.abs(psi) ** 2))
+        bits = tuple((idx >> (n - 1 - q)) & 1 for q in range(n))
+        e_min, e_max = diag_e.min(), diag_e.max()
+        ratio = (e_max - best_val) / (e_max - e_min) if e_max > e_min else 1.0
+        return best_angles, bits, float(ratio)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_batched_descent_is_the_reference(self, p):
+        # no tolerance: the batched step takes the same floats
+        graph_rng = np.random.default_rng(70 + p)
+        for n in range(2, 7):
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            keep = graph_rng.random(len(pairs)) < 0.5
+            keep[graph_rng.integers(len(pairs))] = True
+            model = vq.maxcut_to_ising(
+                [e for e, k in zip(pairs, keep) if k], n)
+            seed = int(graph_rng.integers(2**31))
+            angles, bits, ratio = vq.qaoa(
+                model, p, np.random.default_rng(seed), restarts=2, steps=20)
+            ref_angles, ref_bits, ref_ratio = self.reference_qaoa(
+                model, p, np.random.default_rng(seed), restarts=2, steps=20)
+            assert np.array_equal(angles, ref_angles)
+            assert bits == ref_bits
+            assert ratio == ref_ratio
+
 
 class TestQBoost:
     def test_qubo_equals_direct_loss(self):
@@ -401,6 +472,42 @@ class TestBarren:
             # same gates drawn in the same order: every U- gate, then U+
             assert fast_rng.bit_generator.state == \
                 ref_rng.bit_generator.state
+
+    @staticmethod
+    def brickwork_pairs(n):
+        return [(q, q + 1) for layer in range(3 * n)
+                for q in range(layer % 2, n - 1, 2)]
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_brickwork_draw_is_sequential_draws(self, n):
+        # one batched draw per brickwork, U- then U+: the same bits as one
+        # haar_random_unitary per block in gate order, and the same stream
+        rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+        for _ in range(2):
+            gates = list(vq._brickwork_gates(n, 3 * n, rng))
+            assert [t for _, t in gates] == self.brickwork_pairs(n)
+            for g, _ in gates:
+                assert np.array_equal(g, sc.haar_random_unitary(4, ref))
+        assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_brickwork_sample_is_sequential_draw_sample(self, n):
+        # the gradient of the draw-per-gate loop, bit for bit
+        rng = np.random.default_rng(300 + n)
+        H = self.random_hermitian(2**n, rng)
+        V = self.random_hermitian(2**n, rng)
+        fast_rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+        for _ in range(5):
+            chi = sc.basis_state(n)
+            for t in self.brickwork_pairs(n):
+                chi = sc.apply_gate(chi, sc.haar_random_unitary(4, ref_rng), t)
+            pair = np.stack([chi, V @ chi])
+            for t in self.brickwork_pairs(n):
+                pair = sc.apply_gate(pair, sc.haar_random_unitary(4, ref_rng),
+                                     t)
+            ref = float(-2 * np.vdot(pair[1], H @ pair[0]).imag)
+            assert vq.barren_gradient_sample(n, H, V, fast_rng) == ref
+        assert fast_rng.random() == ref_rng.random()
 
     def test_haar_sample_matches_dense_commutator(self):
         for n in (2, 3):
