@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__, algos, dequant, encode, qkernel, qprob, simcore
 from . import tnet, varqml
 from .errors import BadParameter
+from .simcore import MAX_QUBITS
 
 
 def _fmt(v):
@@ -33,7 +34,6 @@ def _fmt(v):
 
 # --- parameter rules: (test, description) pairs ----------------------------
 
-MAX_QUBITS = 12
 # every count of samples: draws, shots, runs and trials. At this cap
 # bell-teleport, which keeps one row per run, peaks near 270 MB
 MAX_SAMPLES = 10**6

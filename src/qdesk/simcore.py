@@ -12,7 +12,9 @@ import functools
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,24 +45,37 @@ SWAP = np.array(
 )
 
 
-def rx(theta: float) -> np.ndarray:
+def _mat2(a, b, c, d) -> np.ndarray:
+    """The complex matrix [[a, b], [c, d]]. With an array d, a stack of
+    shape d.shape + (2, 2), one matrix per element: a, b and c broadcast
+    against d."""
+    shape = d.shape if isinstance(d, np.ndarray) else ()
+    out = np.empty((2, 2) + shape, dtype=complex)
+    out[0, 0], out[0, 1], out[1, 0], out[1, 1] = a, b, c, d
+    return np.moveaxis(out, (0, 1), (-2, -1)).copy() if shape else out
+
+
+# The rotation factories take an angle, or an array of angles for a stack
+# of shape theta.shape + (2, 2); both evaluate the same formula, so the
+# matrices of a stack have the bits of one call per angle.
+
+def rx(theta) -> np.ndarray:
     c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+    off = -1j * s
+    return _mat2(c, off, off, c)
 
 
-def ry(theta: float) -> np.ndarray:
+def ry(theta) -> np.ndarray:
     c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+    return _mat2(c, -s, s, c)
 
 
-def rz(theta: float) -> np.ndarray:
-    return np.array(
-        [[np.exp(-1j * theta / 2), 0], [0, np.exp(1j * theta / 2)]], dtype=complex
-    )
+def rz(theta) -> np.ndarray:
+    return _mat2(np.exp(-1j * theta / 2), 0, 0, np.exp(1j * theta / 2))
 
 
-def phase(theta: float) -> np.ndarray:
-    return np.array([[1, 0], [0, np.exp(1j * theta)]], dtype=complex)
+def phase(theta) -> np.ndarray:
+    return _mat2(1, 0, 0, np.exp(1j * theta))
 
 
 GATE_FACTORIES = {"RX": rx, "RY": ry, "RZ": rz, "P": phase}
@@ -87,32 +102,85 @@ def is_unitary(U: np.ndarray) -> bool:
     return np.allclose(U.conj().T @ U, np.eye(U.shape[0]), atol=1e-10)
 
 
+def _qubits(targets) -> tuple:
+    """Targets, one qubit or an iterable of them, as a tuple of ints.
+    numpy integers pass through operator.index. A float, a bool, a str or
+    any other non-integer raises TargetOutOfRange, so that no 1.0 or True
+    reaches a cache keyed by equality, where it would stand for 1."""
+    try:
+        t = tuple(targets)
+    except TypeError:  # a single qubit
+        t = (targets,)
+    for q in t:
+        if type(q) is not int:
+            break
+    else:
+        return t
+    try:
+        if not any(isinstance(q, bool) for q in t):
+            return tuple(map(operator.index, t))
+    except TypeError:
+        pass
+    raise TargetOutOfRange(f"targets {t!r} are not all integers")
+
+
+def _register_width(shape: tuple) -> int:
+    """Qubit count of one state (2^n,) or a batch of states (b, 2^n)."""
+    if len(shape) not in (1, 2):
+        raise DimensionMismatch(
+            f"state of shape {shape} is neither (2^n,) nor (b, 2^n)"
+        )
+    return n_qubits(shape[-1])
+
+
 @functools.lru_cache(maxsize=4096)
-def _axis_orders(n: int, targets: tuple, batch_at: int | None):
-    """Transpose that brings the target axes of a rank-n amplitude tensor
-    to the front, and its inverse. With a batch axis in front of the
-    tensor, `batch_at` is where the transpose puts it: after the targets
-    (k) for one gate on every row, first (0) for a gate per row.
-    Validates the targets, so only a new (n, targets) pays for the check."""
+def _gate_plan(shape: tuple, gate_shape: tuple, targets: tuple):
+    """How apply_gate moves a state of `shape` for a gate of `gate_shape`
+    on the int `targets`: (tensor shape, transpose that brings the target
+    axes to the front, matmul operand shape, product tensor shape, inverse
+    transpose). A batch axis goes after the targets for one gate on every
+    row, first for a gate per row. Qubit axes that stay adjacent through
+    the transpose move as one axis, which copies faster and moves the same
+    amplitudes. Bad shapes and targets raise, and a raise is not cached,
+    so only a new key pays for the checks."""
+    n = _register_width(shape)
+    k = len(targets)
+    batch = shape[:-1]
+    if len(gate_shape) == 3:
+        if gate_shape != batch + (2**k, 2**k):
+            raise DimensionMismatch(
+                f"gate stack of shape {gate_shape} does not give one {k}-qubit"
+                f" gate per row of a state of shape {shape}"
+            )
+        batch_at, front = 0, batch + (2**k, -1)
+    else:
+        if gate_shape != (2**k, 2**k):
+            raise DimensionMismatch(
+                f"gate of shape {gate_shape} does not act on {k} qubits"
+            )
+        batch_at, front = (k if batch else None), (2**k, -1)
     for q in targets:
         if not 0 <= q < n:
             raise TargetOutOfRange(f"qubit {q} out of range for n={n}")
     if len(set(targets)) != len(targets):
         raise TargetOutOfRange("duplicate target qubits")
-    order = list(targets) + [q for q in range(n) if q not in targets]
+    axes = list(targets) + [q for q in range(n) if q not in targets]
     if batch_at is not None:
-        order = [q + 1 for q in order]
-        order.insert(batch_at, 0)
-    return tuple(order), tuple(int(i) for i in np.argsort(order))
-
-
-def _register_width(state: np.ndarray) -> int:
-    """Qubit count of one state (2^n,) or a batch of states (b, 2^n)."""
-    if state.ndim not in (1, 2):
-        raise DimensionMismatch(
-            f"state of shape {state.shape} is neither (2^n,) nor (b, 2^n)"
-        )
-    return n_qubits(state.shape[-1])
+        axes = [q + 1 for q in axes]
+        axes.insert(batch_at, 0)
+    runs = []  # runs of consecutive axes, in transposed order
+    for a in axes:
+        if runs and runs[-1][-1] == a - 1:
+            runs[-1].append(a)
+        else:
+            runs.append([a])
+    dims = batch + (2,) * n
+    size = [math.prod(dims[a] for a in r) for r in runs]
+    src = sorted(runs)
+    order = tuple(src.index(r) for r in runs)
+    tensor = tuple(size[runs.index(r)] for r in src)
+    inverse = tuple(order.index(i) for i in range(len(order)))
+    return tensor, order, front, tuple(size), inverse
 
 
 def apply_gate(state: np.ndarray, gate: np.ndarray, targets) -> np.ndarray:
@@ -123,30 +191,12 @@ def apply_gate(state: np.ndarray, gate: np.ndarray, targets) -> np.ndarray:
     matrix for every row, or for a batch a stack of shape (b, 2^k, 2^k):
     row r then takes gate r, with the same product as a call on row r
     alone. Works by index arithmetic on the amplitude array: reshape to a
-    rank-n tensor per state, pull the target axes to the front and hit
-    them with the matrix. No 2^n x 2^n matrix is ever built.
+    tensor of qubit axes per state, pull the target axes to the front and
+    hit them with the matrix. No 2^n x 2^n matrix is ever built.
     """
-    n = _register_width(state)
-    targets = tuple(targets)
-    k = len(targets)
-    batch = state.shape[:-1]
-    if gate.ndim == 3:
-        if gate.shape != batch + (2**k, 2**k):
-            raise DimensionMismatch(
-                f"gate stack of shape {gate.shape} does not give one {k}-qubit"
-                f" gate per row of a state of shape {state.shape}"
-            )
-        order, inverse = _axis_orders(n, targets, 0)
-        front, mid = batch + (2**k,), batch + (2,) * n
-    else:
-        if gate.shape != (2**k, 2**k):
-            raise DimensionMismatch(
-                f"gate of shape {gate.shape} does not act on {k} qubits"
-            )
-        order, inverse = _axis_orders(n, targets, k if batch else None)
-        front, mid = (2**k,), (2,) * k + batch + (2,) * (n - k)
-    psi = state.reshape(batch + (2,) * n).transpose(order)
-    psi = gate @ psi.reshape(front + (-1,))
+    tensor, order, front, mid, inverse = _gate_plan(
+        state.shape, gate.shape, _qubits(targets))
+    psi = gate @ state.reshape(tensor).transpose(order).reshape(front)
     return psi.reshape(mid).transpose(inverse).reshape(state.shape)
 
 
@@ -246,7 +296,7 @@ def pauli_matrix(label: str) -> np.ndarray:
 def apply_pauli(state: np.ndarray, label: str) -> np.ndarray:
     """P|psi> for a Pauli string P on one state (2^n,) or a batch (b, 2^n),
     one per row, by a permutation and a phase per amplitude."""
-    n = _register_width(state)
+    n = _register_width(state.shape)
     if len(label) != n:
         raise DimensionMismatch(f"Pauli string {label!r} does not act on "
                                 f"{n} qubits")
@@ -341,8 +391,14 @@ def tensor(*gates: np.ndarray) -> np.ndarray:
 
 # --- circuits -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class CircuitOp:
+MAX_QUBITS = 12  # the widest register any circuit or experiment may use
+
+# (rows, cols) of every named gate
+_GATE_SHAPES = {**{name: g.shape for name, g in FIXED_GATES.items()},
+                **dict.fromkeys(GATE_FACTORIES, (2, 2))}
+
+
+class CircuitOp(NamedTuple):
     """One circuit instruction: a named/fixed gate, a raw matrix, or a
     measurement marker."""
 
@@ -356,17 +412,23 @@ class CircuitOp:
             return self.matrix
         if self.name in FIXED_GATES:
             return FIXED_GATES[self.name]
-        if self.name in GATE_FACTORIES:
-            return GATE_FACTORIES[self.name](self.param)
+        if self.name in GATE_FACTORIES:  # float64, as Circuit._blocks
+            return GATE_FACTORIES[self.name](float(self.param))
         raise KeyError(f"unknown gate {self.name!r}")
 
 
 _REAL = (int, float, np.integer, np.floating)
 
 
-def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a (x) b of two 2x2 matrices by one broadcast product (no np.kron)."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+@functools.lru_cache(maxsize=4096)
+def _op_targets(n: int, targets: tuple) -> tuple:
+    """The int targets of an op, checked: at least one, each in 0..n-1, no
+    two the same. Returns the cached tuple, so that the ops of a circuit
+    share one tuple per distinct target list."""
+    if (not targets or len(set(targets)) != len(targets)
+            or min(targets) < 0 or max(targets) >= n):
+        raise TargetOutOfRange(f"bad targets {targets} for n={n}")
+    return targets
 
 
 @dataclass
@@ -375,6 +437,12 @@ class Circuit:
     ops: list[CircuitOp] = field(default_factory=list)
 
     def __post_init__(self):
+        n = self.n
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) \
+                or not 1 <= n <= MAX_QUBITS:
+            raise BadParameter(
+                f"n must be an integer in 1..{MAX_QUBITS}, got {n!r}")
+        self.n = int(n)
         ops, self.ops = self.ops, []
         for op in ops:  # the same checks as ops added one by one
             self.add(op.name, op.targets, op.param, op.matrix)
@@ -383,11 +451,9 @@ class Circuit:
         """Append one op. Bad targets, a `measure` on other than one qubit,
         an unknown gate name, a rotation without a finite angle and a gate
         whose size does not match its targets raise here, before any 2^n
-        work. The op is stored as given; its matrix is resolved at run."""
-        targets = tuple(targets) if not isinstance(targets, int) else (targets,)
-        if (not targets or len(set(targets)) != len(targets)
-                or min(targets) < 0 or max(targets) >= self.n):
-            raise TargetOutOfRange(f"bad targets {targets} for n={self.n}")
+        work. A target must be an integer: a float or a bool raises. The
+        op is stored as given; its matrix is resolved at run."""
+        targets = _op_targets(self.n, _qubits(targets))
         if name == "measure":
             if len(targets) != 1:
                 raise TargetOutOfRange(
@@ -395,16 +461,15 @@ class Circuit:
         else:
             if matrix is not None:
                 shape = np.shape(matrix)
-            elif name in FIXED_GATES:
-                shape = FIXED_GATES[name].shape
-            elif name in GATE_FACTORIES:
-                if not (isinstance(param, _REAL) and math.isfinite(param)):
+            elif name in _GATE_SHAPES:
+                shape = _GATE_SHAPES[name]
+                if name in GATE_FACTORIES and not (
+                        isinstance(param, _REAL) and math.isfinite(param)):
                     raise BadParameter(
                         f"gate {name!r} needs a finite param, got {param!r}")
-                shape = (2, 2)
             else:
                 raise KeyError(f"unknown gate {name!r}")
-            dim = 2 ** len(targets)
+            dim = 1 << len(targets)
             if shape != (dim, dim):
                 raise DimensionMismatch(f"gate {name!r} of shape {shape} "
                                         f"does not act on targets {targets}")
@@ -414,34 +479,63 @@ class Circuit:
     def gate_count(self) -> int:
         return sum(1 for op in self.ops if op.name != "measure")
 
-    def _blocks(self):
-        """The ops fused into blocks, yielded in order as (gate, targets);
-        gate is None for a measurement.
+    def _blocks(self) -> list:
+        """The ops fused into blocks, in order, as (gate, targets); gate is
+        None for a measurement.
 
         One-qubit gates multiply into a pending 2x2 product per qubit. A
         two-qubit op on (a, b) absorbs both as U (P_a (x) P_b), qubit a the
         left factor. An op on three or more qubits and a measurement are
         barriers: the pending products of their own qubits are flushed
-        first, as one-qubit blocks. The rest are flushed at the end."""
-        pending = {}
-        for op in self.ops:
+        first, as one-qubit blocks. The rest are flushed at the end.
+
+        The rotations of each kind are built by one stacked factory call,
+        and all absorptions by one broadcast Kronecker product and one
+        stacked matmul; each block has the bits of its products taken one
+        at a time."""
+        ops = self.ops
+        gates, angles = [], {}
+        for i, op in enumerate(ops):
+            g = op.matrix
+            if op.name == "measure":
+                g = None
+            elif g is None:
+                g = FIXED_GATES.get(op.name)
+                if g is None:
+                    angles.setdefault(op.name, []).append(i)
+            gates.append(g)
+        for name, idx in angles.items():
+            stack = GATE_FACTORIES[name](
+                np.array([ops[i].param for i in idx], dtype=float))
+            for i, g in zip(idx, stack):
+                gates[i] = g
+
+        blocks, pending = [], {}
+        absorbed, us, lefts, rights = [], [], [], []
+        for op, g in zip(ops, gates):
             t = op.targets
-            if op.name == "measure" or len(t) > 2:
+            if g is None or len(t) > 2:
                 for q in t:
                     if q in pending:
-                        yield pending.pop(q), (q,)
-                yield (None if op.name == "measure" else op.resolve()), t
+                        blocks.append((pending.pop(q), (q,)))
             elif len(t) == 1:
-                g = op.resolve()
-                pending[t[0]] = g @ pending[t[0]] if t[0] in pending else g
-            else:
-                g = op.resolve()
-                a, b = t
-                if a in pending or b in pending:
-                    g = g @ _kron2(pending.pop(a, I2), pending.pop(b, I2))
-                yield g, t
-        for q, g in pending.items():
-            yield g, (q,)
+                q = t[0]
+                pending[q] = g @ pending[q] if q in pending else g
+                continue
+            elif t[0] in pending or t[1] in pending:
+                absorbed.append(len(blocks))
+                us.append(g)
+                lefts.append(pending.pop(t[0], I2))
+                rights.append(pending.pop(t[1], I2))
+            blocks.append((g, t))
+        blocks.extend((g, (q,)) for q, g in pending.items())
+        if absorbed:
+            a, b = np.array(lefts), np.array(rights)
+            kron = a[:, :, None, :, None] * b[:, None, :, None, :]
+            fused = np.matmul(np.array(us), kron.reshape(-1, 4, 4))
+            for i, g in zip(absorbed, fused):
+                blocks[i] = (g, blocks[i][1])
+        return blocks
 
     def unitary(self) -> np.ndarray:
         # row i of the batch carries basis state i through the circuit
@@ -453,9 +547,16 @@ class Circuit:
         return U.T
 
     def run(self, state=None, rng=None):
-        """Execute the circuit, fused block by block. Returns (state, dict
-        of measured bits)."""
-        psi = basis_state(self.n) if state is None else state.astype(complex)
+        """Execute the circuit, fused block by block, on |0...0> or on the
+        given state of 2^n amplitudes. Returns (state, dict of measured
+        bits)."""
+        if state is None:
+            psi = basis_state(self.n)
+        elif np.shape(state) != (2**self.n,):
+            raise DimensionMismatch(f"state of shape {np.shape(state)} is "
+                                    f"not one state of {self.n} qubits")
+        else:
+            psi = state.astype(complex)
         bits = {}
         for gate, targets in self._blocks():
             if gate is None:
@@ -482,14 +583,29 @@ def circuit_to_json(circ: Circuit) -> str:
     return json.dumps({"n": circ.n, "ops": ops})
 
 
+def _json_matrix(rows) -> np.ndarray:
+    """A raw matrix from JSON rows of [re, im] pairs: the pairs read as
+    float64 and viewed as complex128, the bits of complex(re, im)."""
+    try:
+        pairs = np.asarray(rows)
+    except ValueError:  # ragged rows
+        pairs = None
+    if pairs is None or pairs.dtype.kind not in "buif" \
+            or pairs.shape[-1:] != (2,):
+        raise DimensionMismatch(
+            "a raw matrix must be rows of [re, im] number pairs")
+    return pairs.astype(float, copy=False).view(complex)[..., 0]
+
+
 def circuit_from_json(text: str) -> Circuit:
+    """Parse circuit_to_json output. `n` must be an integer in
+    1..MAX_QUBITS, and each op passes the checks of Circuit.add."""
     data = json.loads(text)
     circ = Circuit(data["n"])
+    add = circ.add
     for entry in data["ops"]:
-        matrix = None
-        if "matrix" in entry:
-            matrix = np.array(
-                [[complex(re, im) for re, im in row] for row in entry["matrix"]]
-            )
-        circ.add(entry["gate"], entry["targets"], entry.get("param"), matrix)
+        matrix = entry.get("matrix")
+        if matrix is not None:
+            matrix = _json_matrix(matrix)
+        add(entry["gate"], entry["targets"], entry.get("param"), matrix)
     return circ

@@ -343,14 +343,10 @@ def _qaoa_state(n: int, diag, gammas, betas) -> np.ndarray:
     lead, p = G.shape[:-1], G.shape[-1]
     G, B = G.reshape(-1, p), B.reshape(-1, p)
     psi = np.full((len(G), 2**n), 1 / np.sqrt(2**n), dtype=complex)
-    mixer = np.empty((len(G), 2, 2), dtype=complex)
     for j in range(p):
         psi = np.exp(-1j * G[:, j, None] * diag) * psi
-        # e^{-i b X} factorizes per qubit: sc.rx(2 b) per row, whose half
-        # angle is b exactly, so its entries are the same floats
-        c, s = np.cos(B[:, j]), np.sin(B[:, j])
-        mixer[:, 0, 0] = mixer[:, 1, 1] = c
-        mixer[:, 0, 1] = mixer[:, 1, 0] = -1j * s
+        # e^{-i b X} factorizes per qubit: sc.rx(2 b) per row
+        mixer = sc.rx(2 * B[:, j])
         for q in range(n):
             psi = sc.apply_gate(psi, mixer, [q])
     return psi.reshape(lead + (2**n,))

@@ -1,7 +1,9 @@
 """Statevector/density-matrix core: gates, measurement, channels, Pauli
 algebra, Haar sampling, circuit serialization."""
+import hashlib
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdesk import simcore as sc
-from qdesk.errors import (DimensionMismatch, NotTracePreserving, QdeskError,
-                          TargetOutOfRange)
+from qdesk.errors import (BadParameter, DimensionMismatch, NotTracePreserving,
+                          QdeskError, TargetOutOfRange)
 
 
 class TestGateApplication:
@@ -33,6 +35,23 @@ class TestGateApplication:
     def test_out_of_range(self):
         with pytest.raises(TargetOutOfRange):
             sc.apply_gate(sc.basis_state(2), sc.X, [2])
+
+    @pytest.mark.parametrize("bad", [1.0, True, np.float64(1), np.True_, "1"])
+    def test_non_integer_target_never_poisons_the_cache(self, bad):
+        # 1.0 == 1 and True == 1, so a cache keyed by equality would mix
+        # them up; each raises before the lookup, whichever call comes first
+        psi = sc.haar_random_state(8, np.random.default_rng(5))
+        with pytest.raises(TargetOutOfRange):
+            sc.apply_gate(psi, sc.H, [bad])
+        ref = sc.apply_gate(psi, sc.H, [1])
+        with pytest.raises(TargetOutOfRange):
+            sc.apply_gate(psi, sc.H, [bad])
+        assert np.array_equal(sc.apply_gate(psi, sc.H, [np.int64(1)]), ref)
+        assert np.array_equal(sc.apply_gate(psi, sc.H, (1,)), ref)
+        circ = sc.Circuit(3).add("H", [1])
+        with pytest.raises(TargetOutOfRange):
+            circ.add("H", [bad])
+        assert np.array_equal(circ.run(psi)[0], ref)
 
     def test_density_channel_consistent(self):
         rng = np.random.default_rng(1)
@@ -443,6 +462,67 @@ class TestCircuitAddChecks:
             '{"gate": "CZ", "targets": [1, 0]}, '
             '{"gate": "measure", "targets": [1]}]}')
 
+    @pytest.mark.parametrize("target", [1.0, True, "1", None])
+    def test_target_must_be_an_integer(self, target):
+        with pytest.raises(TargetOutOfRange):
+            sc.Circuit(2).add("H", [target])
+        with pytest.raises(TargetOutOfRange):
+            sc.Circuit(2).add("CZ", [0, target])
+        if target is not None:  # JSON has no None target
+            with pytest.raises(TargetOutOfRange):
+                sc.circuit_from_json(self._json(
+                    {"gate": "X", "targets": [target]}))
+
+    def test_numpy_integer_targets(self):
+        c = sc.Circuit(3).add("CNOT", np.array([2, 0])).add("H", np.int64(1))
+        assert [op.targets for op in c.ops] == [(2, 0), (1,)]
+        assert all(type(q) is int for op in c.ops for q in op.targets)
+
+    @pytest.mark.parametrize("n", [2.0, True, "2", -1, 0, 13, 40, None])
+    def test_register_size_checked_before_any_allocation(self, n):
+        with pytest.raises(BadParameter):
+            sc.circuit_from_json(json.dumps({"n": n, "ops": []}))
+        with pytest.raises(BadParameter):
+            sc.Circuit(n)
+        assert sc.Circuit(np.int64(sc.MAX_QUBITS)).n == sc.MAX_QUBITS
+
+    def test_run_state_must_fit_the_register(self):
+        c = sc.Circuit(2).add("H", [0])
+        for state in (sc.basis_state(3), sc.basis_state(1),
+                      np.stack([sc.basis_state(2)] * 2)):
+            with pytest.raises(DimensionMismatch):
+                c.run(state)
+        psi, _ = c.run(sc.basis_state(2, 1).real)
+        assert psi.dtype == complex and psi.shape == (4,)
+
+    @pytest.mark.parametrize("matrix", [
+        [[[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]],
+        [[1.0, 0.0], [0.0, 1.0]],
+        [[[1.0, 0.0], [0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+        [[["1", "0"], ["0", "0"]], [["0", "0"], ["1", "0"]]],
+        [[[1.0, None], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+        [], 1.0,
+    ])
+    def test_json_matrix_entries_are_pairs(self, matrix):
+        with pytest.raises(DimensionMismatch):
+            sc.circuit_from_json(self._json(
+                {"gate": "U", "targets": [0], "matrix": matrix}))
+
+    def test_json_matrix_has_the_bits_of_complex(self):
+        rng = np.random.default_rng(17)
+        vals = [0.0, -0.0, 1, -1, True, 1e-310, -5e-324, 1.7e308, math.pi,
+                -math.pi] + rng.standard_normal(22).tolist()
+        rows = [[vals[8 * r + 2 * c:8 * r + 2 * c + 2] for c in range(4)]
+                for r in range(4)]
+        got = sc.circuit_from_json(self._json(
+            {"gate": "U", "targets": [0, 1], "matrix": rows})).ops[0].matrix
+        expect = np.array([[complex(re, im) for re, im in row]
+                           for row in rows])
+        assert got.shape == (4, 4)
+        assert np.array_equal(got.view(float), expect.view(float))
+        assert np.signbit(got.view(float)).tolist() == \
+            np.signbit(expect.view(float)).tolist()
+
 
 def op_by_op(circ, state, rng=None):
     """The circuit run one op at a time through `apply_gate`, unfused."""
@@ -601,3 +681,109 @@ class TestGateFusion:
         monkeypatch.setattr(sc.np, "kron", no_kron)
         assert np.abs(circ.run()[0] - ref).max() < 1e-12
         assert np.abs(circ.unitary() @ sc.basis_state(3) - ref).max() < 1e-12
+
+
+ANGLES = np.concatenate([
+    np.random.default_rng(23).uniform(-10, 10, 200),
+    [0.0, -0.0, np.pi, -np.pi, 2 * np.pi, 1e-300, 5e-324, 1e6, -3e15,
+     1e300, -1e300, 1.7e308],
+])
+
+
+class TestStackedIngest:
+    @pytest.mark.parametrize("factory", [sc.rx, sc.ry, sc.rz, sc.phase])
+    def test_factory_stack_is_one_call_per_angle(self, factory):
+        stack = factory(ANGLES)
+        assert stack.shape == (ANGLES.size, 2, 2) and stack.dtype == complex
+        for theta, g in zip(ANGLES, stack):
+            for scalar in (theta, float(theta)):
+                one = factory(scalar)
+                assert one.shape == (2, 2)
+                assert np.array_equal(g.view(float), one.view(float))
+        grid = factory(ANGLES[:12].reshape(3, 4))
+        assert np.array_equal(grid.reshape(-1, 2, 2).view(float),
+                              stack[:12].view(float))
+
+    def test_angles_resolve_in_float64(self):
+        theta = np.float32(0.3)
+        circ = sc.Circuit(1).add("RX", [0], param=theta)
+        circ.add("RZ", [0], param=1)
+        [(g, _)] = circ._blocks()
+        first = sc.rx(float(theta))
+        assert np.array_equal(circ.ops[0].resolve(), first)
+        assert np.array_equal(g, sc.rz(1.0) @ first)
+
+    @given(gate_list())
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_have_the_bits_of_one_product_at_a_time(self, case):
+        circ, _ = case
+        ref = reference_blocks(circ)
+        got = circ._blocks()
+        assert [t for _, t in got] == [t for _, t in ref]
+        for (g, _), (r, _) in zip(got, ref):
+            assert (g is None) == (r is None)
+            if g is not None:
+                assert np.array_equal(np.asarray(g, complex).view(float),
+                                      np.asarray(r, complex).view(float))
+
+    def test_pinned_brickwork_output(self):
+        # n = 10, depth 40, with raw U4 matrices, generated as the
+        # benchmark's random_circuit does; the pin is the parse-and-run
+        # output before rotations and absorptions were built in stacks
+        text = brickwork_json(np.random.default_rng(2024), 10, 40)
+        assert text.count('"U4"') == 48
+        psi = sc.circuit_from_json(text).run()[0]
+        assert hashlib.sha256(psi.tobytes()).hexdigest() == (
+            "4ce39ce8faade481b820c14faa2f5ceabb01921a9f690066414516281cf1954f")
+
+
+def reference_blocks(circ):
+    """The fused blocks of `circ`, each product taken on its own as soon as
+    its op is read: the unstacked form of Circuit._blocks."""
+    out, pending = [], {}
+    for op in circ.ops:
+        t = op.targets
+        if op.name == "measure" or len(t) > 2:
+            out += [(pending.pop(q), (q,)) for q in t if q in pending]
+            out.append((None if op.name == "measure" else op.resolve(), t))
+        elif len(t) == 1:
+            g = op.resolve()
+            pending[t[0]] = g @ pending[t[0]] if t[0] in pending else g
+        else:
+            g = op.resolve()
+            if t[0] in pending or t[1] in pending:
+                a, b = pending.pop(t[0], sc.I2), pending.pop(t[1], sc.I2)
+                g = g @ (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+            out.append((g, t))
+    return out + [(g, (q,)) for q, g in pending.items()]
+
+
+def brickwork_json(rng, n, depth):
+    """Brickwork circuit JSON: a random one-qubit gate on every qubit, then
+    CNOT/CZ/SWAP or a Haar-random raw 4x4 matrix on alternating pairs."""
+    one, two = ("H", "X", "S", "T", "RX", "RY", "RZ"), ("CNOT", "CZ", "SWAP")
+    gates = rng.integers(len(one), size=(depth, n))
+    angles = rng.uniform(-math.pi, math.pi, size=(depth, n))
+    kinds = rng.integers(len(two) + 1, size=(depth, n // 2))
+    flips = rng.random((depth, n // 2)) < 0.5
+    ginibre = (rng.standard_normal((depth, n // 2, 4, 4))
+               + 1j * rng.standard_normal((depth, n // 2, 4, 4)))
+    q, r = np.linalg.qr(ginibre)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    haar = q * (d / np.abs(d))[..., None, :]
+    ops = []
+    for layer in range(depth):
+        for t in range(n):
+            op = {"gate": one[gates[layer, t]], "targets": [t]}
+            if op["gate"].startswith("R"):
+                op["param"] = float(angles[layer, t])
+            ops.append(op)
+        for j, t in enumerate(range(layer % 2, n - 1, 2)):
+            pair = [t + 1, t] if flips[layer, j] else [t, t + 1]
+            if kinds[layer, j] < len(two):
+                ops.append({"gate": two[kinds[layer, j]], "targets": pair})
+            else:
+                ops.append({"gate": "U4", "targets": pair, "matrix": [
+                    [[v.real, v.imag] for v in row.tolist()]
+                    for row in haar[layer, j]]})
+    return json.dumps({"n": n, "ops": ops})
