@@ -36,6 +36,9 @@ class Layer:
     fixed: np.ndarray | None = None
 
 
+_ROW_BUDGET = 2**20  # amplitudes cost_expectation holds at once
+
+
 @dataclass
 class ParamCircuit:
     n: int
@@ -46,32 +49,67 @@ class ParamCircuit:
         return len(self.layers)
 
     def state(self, theta, psi0=None) -> np.ndarray:
+        """psi(theta) from psi0 (default |0..0>): shape (2^n,) for one angle
+        row (P,), (B, 2^n) for a (B, P) batch. Each multi-term generator
+        V diag(w) V^dag is diagonalised once, and every row takes it."""
+        rows = _angle_rows(theta, self.n_params)
         psi = sc.basis_state(self.n) if psi0 is None else np.asarray(
-            psi0, dtype=complex
-        )
-        for th, layer in zip(theta, self.layers):
+            psi0, dtype=complex)
+        if psi.shape != (2**self.n,):
+            raise DimensionMismatch(f"psi0 of shape {psi.shape}, n = {self.n}")
+        psi = np.repeat(psi[None], len(rows), axis=0)
+        for th, layer in zip(rows.T, self.layers):
             if layer.fixed is not None:
-                psi = layer.fixed @ psi
+                psi = psi @ layer.fixed.T
             if len(layer.generator) == 1:  # e^{-iaP} = cos a - i sin a P
                 label, c = layer.generator[0]
                 if not np.isclose(c, np.conj(c), atol=1e-10):
                     raise NotHermitian(f"coefficient {c!r} is not real")
-                a = np.real(c) * th
+                a = (np.real(c) * th)[:, None]
                 psi = np.cos(a) * psi - 1j * np.sin(a) * sc.apply_pauli(
                     psi, label)
             else:
                 G = sc.pauli_reconstruct(layer.generator, self.n)
-                psi = sc.exp_hamiltonian(G, th) @ psi
-        return psi
+                if not np.allclose(G, G.conj().T, atol=1e-10):
+                    raise NotHermitian("generator is not Hermitian")
+                w, V = np.linalg.eigh(G)
+                psi = ((psi @ V.conj()) * np.exp(-1j * th[:, None] * w)) @ V.T
+        return psi if np.ndim(theta) == 2 else psi[0]
 
 
-def cost_expectation(circ: ParamCircuit, theta, O, psi0=None) -> float:
-    """C(theta) = <psi(theta)| O |psi(theta)>."""
+def _angle_rows(theta, n_params: int) -> np.ndarray:
+    """theta, one angle row (P,) or a batch (B, P), as float rows (B, P)."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim not in (1, 2) or theta.shape[-1] != n_params:
+        raise DimensionMismatch(f"angles {theta.shape} for {n_params} layers")
+    return theta.reshape(-1, n_params)
+
+
+def _shifted_rows(theta, shifts) -> np.ndarray:
+    """Rows 2i and 2i + 1 are theta + s_i e_i and theta - s_i e_i, for the
+    shifts s_i (or one scalar shift): shape (2P, P)."""
+    theta = np.asarray(theta, dtype=float)
+    rows = np.repeat(theta[None], 2 * theta.size, axis=0)
+    i = np.arange(theta.size)
+    rows[2 * i, i] += shifts
+    rows[2 * i + 1, i] -= shifts
+    return rows
+
+
+def cost_expectation(circ: ParamCircuit, theta, O,
+                     psi0=None) -> float | np.ndarray:
+    """C(theta) = <psi(theta)| O |psi(theta)>: a float for one angle row,
+    (B,) for a (B, P) batch, one state call per _ROW_BUDGET amplitudes."""
     O = np.asarray(O, dtype=complex)
-    psi = circ.state(theta, psi0)
-    if O.shape[0] != psi.size:
-        raise DimensionMismatch("observable does not match circuit width")
-    return float(np.vdot(psi, O @ psi).real)
+    dim = 2**circ.n
+    if O.shape != (dim, dim):
+        raise DimensionMismatch(f"observable of shape {O.shape}, n = {circ.n}")
+    rows = _angle_rows(theta, circ.n_params)
+    vals, step = np.empty(len(rows)), max(1, _ROW_BUDGET // dim)
+    for k in range(0, len(rows), step):
+        psi = circ.state(rows[k:k + step], psi0)
+        vals[k:k + step] = np.einsum("bi,bi->b", psi.conj(), psi @ O.T).real
+    return vals if np.ndim(theta) == 2 else float(vals[0])
 
 
 def parameter_shift_gradient(circ: ParamCircuit, theta, O,
@@ -79,27 +117,16 @@ def parameter_shift_gradient(circ: ParamCircuit, theta, O,
     """Exact gradient via the +-pi/4 shift rule.
 
     Each layer generator must be a single Pauli string c*P (P^2 = I); the
-    shift is applied in the rescaled variable c*theta.
-    """
-    theta = np.asarray(theta, dtype=float)
-    grad = np.empty_like(theta)
-    for t, layer in enumerate(circ.layers):
-        if len(layer.generator) != 1:
-            raise UnsupportedGenerator(
-                "multi-term generator: use stochastic_parameter_shift"
-            )
-        _, c = layer.generator[0]
-        c = float(np.real(c))
-        if abs(c) < 1e-14:
-            grad[t] = 0.0
-            continue
-        shift = np.pi / (4 * c)
-        up, dn = theta.copy(), theta.copy()
-        up[t] += shift
-        dn[t] -= shift
-        grad[t] = c * (cost_expectation(circ, up, O, psi0)
-                       - cost_expectation(circ, dn, O, psi0))
-    return grad
+    shift is applied in the rescaled variable c*theta. The 2P shifted rows
+    are evaluated in one call."""
+    if any(len(layer.generator) != 1 for layer in circ.layers):
+        raise UnsupportedGenerator(
+            "multi-term generator: use stochastic_parameter_shift")
+    c = np.real([layer.generator[0][1] for layer in circ.layers]).astype(float)
+    live = np.abs(c) >= 1e-14
+    shifts = np.pi / (4 * np.where(live, c, 1.0))
+    vals = cost_expectation(circ, _shifted_rows(theta, shifts), O, psi0)
+    return np.where(live, c * (vals[0::2] - vals[1::2]), 0.0)
 
 
 def finite_difference_gradient(fn, theta, step: float = 1e-5) -> np.ndarray:
@@ -121,21 +148,22 @@ class GradientEstimate:
 
 
 def _shift_integrand(circ: ParamCircuit, theta, O, psi0, t: int,
-                     label: str, s: float) -> float:
+                     label: str, s):
     """g(s) = C_+(s) - C_-(s): the cost with layer t's e^{-iX},
     X = theta_t G_t, replaced by e^{-i s X} e^{-+i pi/4 V} e^{-i (1-s) X},
     V the Pauli string `label`. Layer t is split into three layers, the
-    first carrying t's fixed gate."""
-    layer, th = circ.layers[t], list(theta)
+    first carrying t's fixed gate. An array of s is one evaluation."""
+    layer, th = circ.layers[t], np.asarray(theta, dtype=float)
     split = ParamCircuit(circ.n, circ.layers[:t] + [
         layer, Layer([(label, 1.0)]), Layer(layer.generator)]
         + circ.layers[t + 1:])
-
-    def cost(v):
-        angles = th[:t] + [(1 - s) * th[t], v, s * th[t]] + th[t + 1:]
-        return cost_expectation(split, angles, O, psi0)
-
-    return cost(np.pi / 4) - cost(-np.pi / 4)
+    s2 = np.repeat(np.asarray(s, dtype=float), 2)  # s_i: rows 2i, 2i + 1
+    rows = np.repeat(np.insert(th, t, [0.0, 0.0])[None], s2.size, axis=0)
+    rows[:, t:t + 3] = np.stack([(1 - s2) * th[t], np.resize(
+        [np.pi / 4, -np.pi / 4], s2.size), s2 * th[t]], axis=1)
+    vals = cost_expectation(split, rows, O, psi0)
+    g = vals[0::2] - vals[1::2]
+    return g if np.ndim(s) else float(g[0])
 
 
 def stochastic_parameter_shift(circ: ParamCircuit, t: int, label: str,
@@ -147,24 +175,18 @@ def stochastic_parameter_shift(circ: ParamCircuit, t: int, label: str,
     generator X_t = theta_t * G_t. For s ~ U(0,1) the integrand
     g(s) = C_+(s) - C_-(s) averages to the derivative.
     """
-    vals = np.array([_shift_integrand(circ, theta, O, psi0, t, label,
-                                      rng.random()) for _ in range(samples)])
-    return GradientEstimate(
-        float(vals.mean()),
-        float(vals.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0,
-        samples,
-    )
+    g = _shift_integrand(circ, theta, O, psi0, t, label, rng.random(samples))
+    stderr = g.std(ddof=1) / np.sqrt(samples) if samples > 1 else 0.0
+    return GradientEstimate(float(g.mean()), float(stderr), samples)
 
 
 def exact_x_gradient(circ: ParamCircuit, t: int, label: str, theta, O,
                      psi0=None) -> float:
     """Deterministic dC/dx_{t,label} by 64-point Gauss-Legendre quadrature
     of the shift-rule integrand (oracle for the stochastic estimator)."""
-    nodes, weights = np.polynomial.legendre.leggauss(64)
-    s = (nodes + 1) / 2
-    w = weights / 2
-    return float(sum(wi * _shift_integrand(circ, theta, O, psi0, t, label, si)
-                     for si, wi in zip(s, w)))
+    nodes, weights = np.polynomial.legendre.leggauss(64)  # on [-1, 1]
+    g = _shift_integrand(circ, theta, O, psi0, t, label, (nodes + 1) / 2)
+    return float(weights @ g) / 2
 
 
 # --- VQE ---------------------------------------------------------------------
@@ -360,13 +382,8 @@ def _qaoa_descent(energies, theta0, steps: int):
     Returns (theta, its energy); qaoa reads no earlier energy."""
     h, lr = 1e-6, 0.05
     theta = np.asarray(theta0, dtype=float).copy()
-    m = theta.size
     for _ in range(steps):
-        rows = np.repeat(theta[None], 2 * m, axis=0)
-        for i in range(m):  # as finite_difference_gradient forms up and dn
-            rows[2 * i, i] += h
-            rows[2 * i + 1, i] -= h
-        vals = energies(rows)
+        vals = energies(_shifted_rows(theta, h))
         theta = theta - lr * ((vals[0::2] - vals[1::2]) / (2 * h))
     return theta, float(energies(theta[None])[0])
 
@@ -807,15 +824,11 @@ def loss_std_profile(circ: ParamCircuit, H, theta_center, deltas,
                      samples: int, rng: np.random.Generator) -> dict:
     """Standard deviation of the cost over uniform parameter cubes of
     half-width delta around theta_center, per delta."""
-    H = np.asarray(H, dtype=complex)
     theta_center = np.asarray(theta_center, dtype=float)
     out = {}
     for d in deltas:
-        vals = np.empty(samples)
-        for i in range(samples):
-            th = theta_center + rng.uniform(-d, d, theta_center.size)
-            vals[i] = cost_expectation(circ, th, H)
-        out[float(d)] = float(vals.std(ddof=1))
+        rows = theta_center + rng.uniform(-d, d, (samples, theta_center.size))
+        out[float(d)] = float(cost_expectation(circ, rows, H).std(ddof=1))
     return out
 
 
@@ -848,15 +861,9 @@ def dqc1_model(circ_layers, x_gates, theta) -> float:
 def dqc1_model_gradient(circ_layers, x_gates, theta) -> np.ndarray:
     """Gradient of the trace model: the trace is degree-1 trigonometric in
     each angle, so df/dtheta_k = (f(+pi/2 shift) - f(-pi/2 shift))/2."""
-    theta = np.asarray(theta, dtype=float)
-    grad = np.empty_like(theta)
-    for k in range(theta.size):
-        up, dn = theta.copy(), theta.copy()
-        up[k] += np.pi / 2
-        dn[k] -= np.pi / 2
-        grad[k] = (dqc1_model(circ_layers, x_gates, up)
-                   - dqc1_model(circ_layers, x_gates, dn)) / 2
-    return grad
+    vals = np.array([dqc1_model(circ_layers, x_gates, row)
+                     for row in _shifted_rows(theta, np.pi / 2)])
+    return (vals[0::2] - vals[1::2]) / 2
 
 
 def variational_classifier(state_fn, projectors, X, y, theta0,

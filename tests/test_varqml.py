@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdesk import simcore as sc, varqml as vq
 from qdesk.encode import EncodingSpec, encoding_unitary
@@ -169,6 +171,172 @@ class TestSinglePauliClosedForm:
         th = [0.2, -0.4, 1.1]
         vq.cost_expectation(circ, th, OBS)
         vq.parameter_shift_gradient(circ, th, OBS)
+
+
+def random_param_circuit(rng, n, P):
+    """P layers on n qubits: each has one or up to three Pauli-string terms
+    with real coefficients, and half of them a Haar-random fixed gate."""
+    layers = []
+    for _ in range(P):
+        terms = [("".join(rng.choice(list("IXYZ"), n)), rng.normal())
+                 for _ in range(int(rng.integers(1, 4)))]
+        fixed = (sc.haar_random_unitary(2**n, rng) if rng.random() < 0.5
+                 else None)
+        layers.append(vq.Layer(terms, fixed))
+    A = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    return vq.ParamCircuit(n, layers), (A + A.conj().T) / 2**(n + 1)
+
+
+class TestAngleRows:
+    """state and cost_expectation take one angle row (P,) or a (B, P) batch;
+    each batch row is the one-row result."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 4),
+           st.integers(1, 6), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_batch_rows_are_one_row_calls(self, seed, n, P, B, with_psi0):
+        rng = np.random.default_rng(seed)
+        circ, O = random_param_circuit(rng, n, P)
+        psi0 = sc.haar_random_state(2**n, rng) if with_psi0 else None
+        rows = rng.uniform(-np.pi, np.pi, (B, P))
+        states = circ.state(rows, psi0)
+        costs = vq.cost_expectation(circ, rows, O, psi0)
+        assert states.shape == (B, 2**n) and costs.shape == (B,)
+        for row, psi, c in zip(rows, states, costs):
+            one = circ.state(row, psi0)
+            assert one.shape == (2**n,)
+            assert np.abs(psi - one).max() <= 1e-14
+            one_cost = vq.cost_expectation(circ, row, O, psi0)
+            assert type(one_cost) is float
+            assert abs(c - one_cost) <= 1e-14
+        with pytest.MonkeyPatch.context() as mp:  # 1 to 3 rows per chunk
+            mp.setattr(vq, "_ROW_BUDGET", 2**n * int(rng.integers(1, 4)))
+            chunked = vq.cost_expectation(circ, rows, O, psi0)
+        assert np.abs(chunked - costs).max() <= 1e-14
+
+    def test_state_is_one_call_per_chunk(self, monkeypatch):
+        circ, O = random_param_circuit(np.random.default_rng(40), 2, 3)
+        calls = []
+        state = vq.ParamCircuit.state
+        monkeypatch.setattr(vq.ParamCircuit, "state", lambda self, th, p=None:
+                            calls.append(len(th)) or state(self, th, p))
+        monkeypatch.setattr(vq, "_ROW_BUDGET", 3 * 4)  # 3 rows of 4
+        vq.cost_expectation(circ, np.zeros((8, 3)), O)
+        assert calls == [3, 3, 2]
+
+    def test_one_eigh_per_multi_term_layer(self, monkeypatch):
+        circ = TestStochasticShift()._circ()
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda G: calls.append(G.shape) or eigh(G))
+        circ.state(np.zeros((50, 2)))
+        assert calls == [(4, 4)]
+
+    def test_angle_row_must_fit_the_layers(self):
+        circ = two_qubit_circuit()  # three layers
+        for theta in ([0.3], [0.1, 0.2, 0.3, 0.4], np.zeros((2, 2)),
+                      np.zeros((2, 4)), np.zeros((1, 2, 3)), 0.3):
+            with pytest.raises(DimensionMismatch):
+                circ.state(theta)
+            with pytest.raises(DimensionMismatch):
+                vq.cost_expectation(circ, theta, OBS)
+
+    def test_psi0_must_be_one_state_of_the_register(self):
+        circ = two_qubit_circuit()
+        for psi0 in (sc.basis_state(1), sc.basis_state(3),
+                     sc.basis_state(2)[None], np.zeros((2, 4))):
+            with pytest.raises(DimensionMismatch):
+                circ.state([0.1, 0.2, 0.3], psi0)
+            with pytest.raises(DimensionMismatch):
+                vq.cost_expectation(circ, np.zeros((2, 3)), OBS, psi0)
+
+    def test_observable_must_be_square_on_the_register(self):
+        circ = two_qubit_circuit()
+        for O in (np.ones((4, 2)), np.ones((2, 4)), np.eye(8), np.ones(4),
+                  np.ones((4, 4, 1))):
+            with pytest.raises(DimensionMismatch):
+                vq.cost_expectation(circ, [0.1, 0.2, 0.3], O)
+
+    def test_multi_term_complex_coefficient_not_hermitian(self):
+        circ = vq.ParamCircuit(2, [vq.Layer([("XZ", 1.0), ("YI", 0.5j)])])
+        with pytest.raises(NotHermitian):
+            circ.state([0.3])
+        with pytest.raises(NotHermitian):
+            circ.state(np.zeros((4, 1)))
+
+    def test_parameter_shift_matches_per_parameter_loop(self):
+        # zero and negative coefficients, against the rule one parameter at
+        # a time
+        rng = np.random.default_rng(41)
+        circ = vq.ParamCircuit(3, [
+            vq.Layer([("XIZ", 0.0)], fixed=sc.haar_random_unitary(8, rng)),
+            vq.Layer([("YYI", -0.8)]),
+            vq.Layer([("IZX", 1e-15)]),
+            vq.Layer([("ZIY", 1.7)], fixed=sc.haar_random_unitary(8, rng))])
+        O = sc.pauli_reconstruct([("ZZI", 1.0), ("IXX", -0.4)], 3)
+        for _ in range(5):
+            theta = rng.uniform(-np.pi, np.pi, 4)
+            ref = np.zeros(4)
+            for t, layer in enumerate(circ.layers):
+                c = layer.generator[0][1]
+                if abs(c) >= 1e-14:
+                    up, dn = theta.copy(), theta.copy()
+                    up[t] += np.pi / (4 * c)
+                    dn[t] -= np.pi / (4 * c)
+                    ref[t] = c * (vq.cost_expectation(circ, up, O)
+                                  - vq.cost_expectation(circ, dn, O))
+            got = vq.parameter_shift_gradient(circ, theta, O)
+            assert np.abs(got - ref).max() <= 1e-14
+            assert got[0] == 0.0 and got[2] == 0.0
+
+    @pytest.mark.parametrize("seed", [0, 5, 17])
+    def test_stochastic_shift_keeps_the_draw_order(self, seed):
+        circ = TestStochasticShift()._circ()
+        th = np.array([0.9, -0.5])
+        for t, label in ((0, "ZZ"), (1, "XX")):
+            got_rng = np.random.default_rng(seed)
+            est = vq.stochastic_parameter_shift(
+                circ, t, label, th, OBS, None, 40, got_rng)
+            rng = np.random.default_rng(seed)
+            vals = np.array([
+                vq._shift_integrand(circ, th, OBS, None, t, label,
+                                    rng.random()) for _ in range(40)])
+            assert abs(est.value - vals.mean()) <= 1e-14
+            assert abs(est.stderr - vals.std(ddof=1) / np.sqrt(40)) <= 1e-14
+            assert est.samples == 40
+            assert got_rng.random() == rng.random()  # same draws taken
+
+    @pytest.mark.parametrize("seed", [0, 5, 17])
+    def test_loss_profile_keeps_the_draw_order(self, seed):
+        circ = two_qubit_circuit()
+        center = np.array([0.3, -1.1, 0.8])
+        deltas = [0.05, 0.4, 1.5]
+        got_rng = np.random.default_rng(seed)
+        prof = vq.loss_std_profile(circ, OBS, center, deltas, 30, got_rng)
+        rng = np.random.default_rng(seed)
+        for d in deltas:
+            vals = [vq.cost_expectation(
+                circ, center + rng.uniform(-d, d, center.size), OBS)
+                for _ in range(30)]
+            assert abs(prof[d] - np.std(vals, ddof=1)) <= 1e-14
+        assert got_rng.random() == rng.random()  # same draws taken
+
+    def test_dqc1_gradient_is_the_up_dn_loop(self):
+        rng = np.random.default_rng(42)
+        layers = [("XZ",), ("YI",), ("ZY",)]
+        xg = [sc.haar_random_unitary(4, rng) for _ in range(3)]
+        for _ in range(5):
+            theta = rng.uniform(-np.pi, np.pi, 3)
+            ref = np.empty_like(theta)
+            for k in range(theta.size):
+                up, dn = theta.copy(), theta.copy()
+                up[k] += np.pi / 2
+                dn[k] -= np.pi / 2
+                ref[k] = (vq.dqc1_model(layers, xg, up)
+                          - vq.dqc1_model(layers, xg, dn)) / 2
+            assert np.array_equal(vq.dqc1_model_gradient(layers, xg, theta),
+                                  ref)
 
 
 class TestVQE:
