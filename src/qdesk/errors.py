@@ -1,4 +1,5 @@
-"""Shared exception types."""
+"""Shared exception types, and the check of count parameters."""
+import numbers
 
 
 class QdeskError(Exception):
@@ -75,6 +76,14 @@ class BadLength(QdeskError, ValueError):
 
 class BadParameter(QdeskError, ValueError):
     """A parameter that is missing, not finite, or outside its range."""
+
+
+def _check_counts(**counts):
+    """BadParameter naming the first count that is not an integer >= 1."""
+    for name, v in counts.items():
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral) \
+                or v < 1:
+            raise BadParameter(f"{name} must be an integer >= 1, got {v!r}")
 
 
 class UnsupportedKind(QdeskError, ValueError):

@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import itertools
 import json
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (BadLength, BadParameter, DimensionMismatch,
-                     TargetOutOfRange, UnsupportedKind)
+                     TargetOutOfRange, UnsupportedKind, _check_counts)
+from .varqml import _row_differences
 
 
 def _sign_fix(U: np.ndarray, Vh: np.ndarray):
@@ -348,13 +348,6 @@ def anomaly_score(model: ProjectorMPS, x, return_ops: bool = False):
     return (val, ops1 + ops2) if return_ops else val
 
 
-def _check_counts(**counts):
-    for name, v in counts.items():
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral) \
-                or v < 1:
-            raise BadParameter(f"{name} must be an integer >= 1, got {v!r}")
-
-
 def _random_projector(N: int, S: int, d: int, D: int,
                       rng: np.random.Generator) -> ProjectorMPS:
     _check_counts(S=S, d=d, D=D)
@@ -460,7 +453,7 @@ def anomaly_fit(train, S: int, alpha: float, d: int = 2, D: int = 2,
 
     The samples are embedded once. Each step's central-difference gradient
     over the P real core entries is one batched sweep over the N sites
-    (`_batched_loss`) of the 2P probe rows theta +- h e_i; each
+    (`_batched_loss`) of the 2P rows theta +- h e_i; each
     line-search candidate is a one-row sweep. A given `model` must have
     real cores and N sites of input dimension d. S, d and D must be
     integers >= 1.
@@ -484,14 +477,8 @@ def anomaly_fit(train, S: int, alpha: float, d: int = 2, D: int = 2,
     history = [float(loss(theta[None])[0])]
     step = lr
     h = 1e-6
-    P = theta.size
-    diag = np.arange(P)
     for _ in range(steps):
-        probes = np.tile(theta, (2 * P, 1))
-        probes[diag, diag] += h
-        probes[P + diag, diag] -= h
-        L = loss(probes)
-        g = (L[:P] - L[P:]) / (2 * h)
+        g = _row_differences(loss, theta, h) / (2 * h)
         gn = np.linalg.norm(g)
         if gn < 1e-12:
             break

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +25,9 @@ from .errors import (
     IncompleteProjectors,
     IntegratorDiverged,
     NotHermitian,
+    TargetOutOfRange,
     UnsupportedGenerator,
+    _check_counts,
 )
 
 
@@ -85,15 +88,17 @@ def _angle_rows(theta, n_params: int) -> np.ndarray:
     return theta.reshape(-1, n_params)
 
 
-def _shifted_rows(theta, shifts) -> np.ndarray:
-    """Rows 2i and 2i + 1 are theta + s_i e_i and theta - s_i e_i, for the
-    shifts s_i (or one scalar shift): shape (2P, P)."""
+def _row_differences(values, theta, shifts) -> np.ndarray:
+    """values(theta + s_i e_i) - values(theta - s_i e_i) for each i, for the
+    shifts s_i (or one scalar shift). `values` maps (R, P) rows to R values
+    and is called once, on the 2P rows (rows 2i and 2i + 1 shift i)."""
     theta = np.asarray(theta, dtype=float)
     rows = np.repeat(theta[None], 2 * theta.size, axis=0)
     i = np.arange(theta.size)
     rows[2 * i, i] += shifts
     rows[2 * i + 1, i] -= shifts
-    return rows
+    vals = values(rows)
+    return vals[0::2] - vals[1::2]
 
 
 def cost_expectation(circ: ParamCircuit, theta, O,
@@ -125,11 +130,14 @@ def parameter_shift_gradient(circ: ParamCircuit, theta, O,
     c = np.real([layer.generator[0][1] for layer in circ.layers]).astype(float)
     live = np.abs(c) >= 1e-14
     shifts = np.pi / (4 * np.where(live, c, 1.0))
-    vals = cost_expectation(circ, _shifted_rows(theta, shifts), O, psi0)
-    return np.where(live, c * (vals[0::2] - vals[1::2]), 0.0)
+    diff = _row_differences(
+        lambda rows: cost_expectation(circ, rows, O, psi0), theta, shifts)
+    return np.where(live, c * diff, 0.0)
 
 
 def finite_difference_gradient(fn, theta, step: float = 1e-5) -> np.ndarray:
+    """Central differences, one row per fn call: the oracle for
+    _row_differences(values, theta, step) / (2 * step)."""
     theta = np.asarray(theta, dtype=float)
     grad = np.empty_like(theta)
     for i in range(theta.size):
@@ -153,6 +161,9 @@ def _shift_integrand(circ: ParamCircuit, theta, O, psi0, t: int,
     X = theta_t G_t, replaced by e^{-i s X} e^{-+i pi/4 V} e^{-i (1-s) X},
     V the Pauli string `label`. Layer t is split into three layers, the
     first carrying t's fixed gate. An array of s is one evaluation."""
+    if not (isinstance(t, numbers.Integral) and 0 <= t < circ.n_params):
+        raise TargetOutOfRange(
+            f"layer index t = {t!r} outside 0..{circ.n_params - 1}")
     layer, th = circ.layers[t], np.asarray(theta, dtype=float)
     split = ParamCircuit(circ.n, circ.layers[:t] + [
         layer, Layer([(label, 1.0)]), Layer(layer.generator)]
@@ -175,6 +186,7 @@ def stochastic_parameter_shift(circ: ParamCircuit, t: int, label: str,
     generator X_t = theta_t * G_t. For s ~ U(0,1) the integrand
     g(s) = C_+(s) - C_-(s) averages to the derivative.
     """
+    _check_counts(samples=samples)
     g = _shift_integrand(circ, theta, O, psi0, t, label, rng.random(samples))
     stderr = g.std(ddof=1) / np.sqrt(samples) if samples > 1 else 0.0
     return GradientEstimate(float(g.mean()), float(stderr), samples)
@@ -192,7 +204,9 @@ def exact_x_gradient(circ: ParamCircuit, t: int, label: str, theta, O,
 # --- VQE ---------------------------------------------------------------------
 
 def gradient_descent(fn, grad_fn, theta0, lr: float = 0.1, steps: int = 200):
-    """Plain gradient descent: `steps` updates theta -= lr * grad."""
+    """Plain gradient descent: `steps` updates theta -= lr * grad. It
+    evaluates fn one row at a time, after every step, and returns that
+    history; the oracle for _descend."""
     theta = np.asarray(theta0, dtype=float).copy()
     history = [fn(theta)]
     for _ in range(steps):
@@ -201,26 +215,37 @@ def gradient_descent(fn, grad_fn, theta0, lr: float = 0.1, steps: int = 200):
     return theta, history
 
 
+def _descend(values, grad_fn, theta0, lr: float, steps: int):
+    """gradient_descent's updates, for `values`, which maps (R, P) rows to R
+    values. Returns (theta, its value); no value is evaluated on the way."""
+    theta = np.asarray(theta0, dtype=float).copy()
+    for _ in range(steps):
+        theta = theta - lr * grad_fn(theta)
+    return theta, float(values(theta[None])[0])
+
+
 def vqe(H, circ: ParamCircuit, theta0=None, lr: float = 0.1,
         steps: int = 300, rng: np.random.Generator | None = None,
         psi0=None):
-    """Minimize <psi(theta)|H|psi(theta)> by parameter-shift descent."""
+    """Minimize <psi(theta)|H|psi(theta)> by gradient descent: the shift
+    rule when every layer has one term, else central differences at step
+    1e-5. Each step evaluates its rows in one batch."""
     H = np.asarray(H, dtype=complex)
     if theta0 is None:
         rng = rng or np.random.default_rng()
         theta0 = rng.uniform(-np.pi, np.pi, circ.n_params)
 
-    def f(th):
-        return cost_expectation(circ, th, H, psi0)
+    def f(rows):
+        return cost_expectation(circ, rows, H, psi0)
 
-    def g(th):
-        try:
+    if all(len(layer.generator) == 1 for layer in circ.layers):
+        def g(th):
             return parameter_shift_gradient(circ, th, H, psi0)
-        except UnsupportedGenerator:
-            return finite_difference_gradient(f, th)
+    else:
+        def g(th):
+            return _row_differences(f, th, 1e-5) / (2 * 1e-5)
 
-    theta, history = gradient_descent(f, g, theta0, lr=lr, steps=steps)
-    return theta, history[-1]
+    return _descend(f, g, theta0, lr, steps)
 
 
 # --- Ising / QUBO -------------------------------------------------------------
@@ -374,27 +399,15 @@ def _qaoa_state(n: int, diag, gammas, betas) -> np.ndarray:
     return psi.reshape(lead + (2**n,))
 
 
-def _qaoa_descent(energies, theta0, steps: int):
-    """gradient_descent(expected, lambda a: finite_difference_gradient(
-    expected, a, 1e-6), theta0, lr=0.05, steps=steps), the same floats, for
-    `energies`, which maps (R, m) angle rows to R expected energies: each
-    step evaluates the 2m shifted rows of its gradient in one call.
-    Returns (theta, its energy); qaoa reads no earlier energy."""
-    h, lr = 1e-6, 0.05
-    theta = np.asarray(theta0, dtype=float).copy()
-    for _ in range(steps):
-        vals = energies(_shifted_rows(theta, h))
-        theta = theta - lr * ((vals[0::2] - vals[1::2]) / (2 * h))
-    return theta, float(energies(theta[None])[0])
-
-
 def qaoa(model: IsingModel, p: int, rng: np.random.Generator,
          restarts: int = 8, steps: int = 250):
     """Optimize QAOA angles by multistart gradient descent, step 0.05.
 
     Returns (angles, best bitstring, approximation ratio) where the ratio
-    compares the expected energy against the brute-force optimum.
+    compares the expected energy against the brute-force optimum. p and
+    restarts must be integers >= 1.
     """
+    _check_counts(p=p, restarts=restarts)
     n = model.n
     # built once: every state below reads the same energy diagonal
     diag_phase = model.diagonal(include_const=False)
@@ -406,10 +419,13 @@ def qaoa(model: IsingModel, p: int, rng: np.random.Generator,
         psi = _qaoa_state(n, diag_phase, rows[:, :p], rows[:, p:])
         return np.sum(np.abs(psi) ** 2 * diag_e, axis=-1)
 
+    def grad(a):
+        return _row_differences(energies, a, 1e-6) / (2 * 1e-6)
+
     best_angles, best_val = None, np.inf
     for _ in range(restarts):
         angles0 = rng.uniform(0, np.pi, 2 * p)
-        angles, val = _qaoa_descent(energies, angles0, steps)
+        angles, val = _descend(energies, grad, angles0, 0.05, steps)
         if val < best_val:
             best_val, best_angles = val, angles
     psi = _qaoa_state(n, diag_phase, best_angles[:p], best_angles[p:])
@@ -861,9 +877,9 @@ def dqc1_model(circ_layers, x_gates, theta) -> float:
 def dqc1_model_gradient(circ_layers, x_gates, theta) -> np.ndarray:
     """Gradient of the trace model: the trace is degree-1 trigonometric in
     each angle, so df/dtheta_k = (f(+pi/2 shift) - f(-pi/2 shift))/2."""
-    vals = np.array([dqc1_model(circ_layers, x_gates, row)
-                     for row in _shifted_rows(theta, np.pi / 2)])
-    return (vals[0::2] - vals[1::2]) / 2
+    return _row_differences(lambda rows: np.array(
+        [dqc1_model(circ_layers, x_gates, row) for row in rows]),
+        theta, np.pi / 2) / 2
 
 
 def variational_classifier(state_fn, projectors, X, y, theta0,

@@ -328,8 +328,17 @@ class TestRun:
         assert first.encode() == second.encode()
 
     # stdout at seed 11 and default params, as written before the QAOA
-    # descent step and the brickwork Haar blocks were batched
+    # descent step and the brickwork Haar blocks were batched, and before
+    # the anomaly fit took its central differences from the shared helper
     PINNED = {
+        "anomaly": [
+            "# config_hash=f652c4b180947a56",
+            "# experiment=anomaly",
+            "# seed=11",
+            "# version=0.1.0",
+            "final_loss,mean_score,target",
+            "0.13508175256096067,1.6437753027157183,1.6487212707001282",
+        ],
         "qaoa-maxcut": [
             "# config_hash=6eff47b26b6600de",
             "# experiment=qaoa-maxcut",

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from qdesk import simcore as sc, varqml as vq
 from qdesk.encode import EncodingSpec, encoding_unitary
-from qdesk.errors import (DimensionMismatch, IntegratorDiverged,
+from qdesk.errors import (BadParameter, DimensionMismatch,
+                          IntegratorDiverged, TargetOutOfRange,
                           UnsupportedGenerator)
 from qdesk.errors import NotHermitian
 
@@ -80,6 +81,22 @@ class TestStochasticShift:
         )
         exact = vq.exact_x_gradient(circ, 0, "ZZ", th, OBS)
         assert abs(est.value - exact) < 5 * est.stderr + 1e-12
+
+    @pytest.mark.parametrize("samples", [0, -1, True, 2.0])
+    def test_sample_count_is_checked(self, samples):
+        with pytest.raises(BadParameter, match="^samples must be"):
+            vq.stochastic_parameter_shift(
+                self._circ(), 0, "ZZ", [0.9, -0.5], OBS, None, samples,
+                np.random.default_rng(0))
+
+    @pytest.mark.parametrize("t", [2, -1, 5, 0.0])
+    def test_layer_index_is_checked(self, t):
+        circ, th = self._circ(), [0.9, -0.5]  # layers 0 and 1
+        with pytest.raises(TargetOutOfRange):
+            vq.stochastic_parameter_shift(circ, t, "ZZ", th, OBS, None, 4,
+                                          np.random.default_rng(0))
+        with pytest.raises(TargetOutOfRange):
+            vq.exact_x_gradient(circ, t, "ZZ", th, OBS)
 
 
 class TestSinglePauliClosedForm:
@@ -358,6 +375,63 @@ class TestVQE:
         gs = np.linalg.eigvalsh(H).min()
         assert best == pytest.approx(gs, abs=5e-3)
 
+    @pytest.mark.parametrize("steps", [0, 1, 40])
+    def test_single_term_is_the_shift_rule_descent(self, steps):
+        # no tolerance: the one-row descent with its history, last value
+        rng = np.random.default_rng(60 + steps)
+        circ = two_qubit_circuit()
+        for psi0 in (None, sc.haar_random_state(4, rng)):
+            theta0 = rng.uniform(-np.pi, np.pi, 3)
+            theta, e = vq.vqe(OBS, circ, theta0, lr=0.2, steps=steps,
+                              psi0=psi0)
+            ref, history = vq.gradient_descent(
+                lambda th: vq.cost_expectation(circ, th, OBS, psi0),
+                lambda th: vq.parameter_shift_gradient(circ, th, OBS, psi0),
+                theta0, lr=0.2, steps=steps)
+            assert np.array_equal(theta, ref)
+            assert type(e) is float and e == history[-1]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_multi_term_is_the_central_difference_descent(self, seed):
+        # each batched cost may differ from its one-row call by a few ulps
+        # of ||H||; the quotient 1 / (2 * 1e-5) and lr carry that into
+        # theta, step by step
+        rng = np.random.default_rng(80 + seed)
+        circ, H = random_param_circuit(rng, 2 + seed % 2, 2 + seed % 3)
+        circ.layers[0].generator.append(("I" * circ.n, 0.4))
+        theta0 = rng.uniform(-np.pi, np.pi, circ.n_params)
+        steps, lr = 25, 0.1
+        theta, e = vq.vqe(H, circ, theta0, lr=lr, steps=steps)
+
+        def f(th):
+            return vq.cost_expectation(circ, th, H)
+
+        ref, history = vq.gradient_descent(
+            f, lambda th: vq.finite_difference_gradient(f, th), theta0,
+            lr=lr, steps=steps)
+        tol = steps * lr * 8 * np.finfo(float).eps * np.linalg.norm(H, 2) \
+            / (2 * 1e-5)
+        assert np.abs(theta - ref).max() <= tol
+        assert abs(e - history[-1]) <= tol
+
+    @pytest.mark.parametrize("steps", [0, 1, 7])
+    def test_one_eigh_per_multi_term_layer_and_step(self, monkeypatch,
+                                                    steps):
+        # L multi-term layers, S steps: (S + 1) L eigh calls, the last L
+        # for the final cost; the single-term layer takes none
+        circ = vq.ParamCircuit(3, [
+            vq.Layer([("XIZ", 0.7), ("IYY", -0.3)]),
+            vq.Layer([("ZZI", 1.1)]),
+            vq.Layer([("YIX", 0.5), ("IZI", 0.9), ("XXX", 0.2)]),
+        ])
+        H = sc.pauli_reconstruct([("ZII", 1.0), ("IXX", 0.5)], 3)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda G: calls.append(G.shape) or eigh(G))
+        vq.vqe(H, circ, [0.3, -0.8, 1.2], steps=steps)
+        assert calls == [(8, 8)] * (2 * (steps + 1))
+
 
 class TestIsingMappings:
     def test_qubo_ising_equivalence_exhaustive(self):
@@ -420,6 +494,15 @@ class TestQAOA:
         _, bits, ratio = vq.qaoa(model, p=2, rng=rng, restarts=6)
         assert ratio >= 0.99
         assert vq.cut_size([(0, 1), (1, 2), (0, 2)], bits) == 2
+
+    @pytest.mark.parametrize("name, value", [
+        ("p", 0), ("p", -1), ("p", True), ("p", 1.0),
+        ("restarts", 0), ("restarts", -2), ("restarts", True)])
+    def test_counts_are_checked(self, name, value):
+        model = vq.maxcut_to_ising([(0, 1), (1, 2)])
+        args = dict({"p": 1, "restarts": 1}, **{name: value})
+        with pytest.raises(BadParameter, match=f"^{name} must be"):
+            vq.qaoa(model, rng=np.random.default_rng(0), steps=2, **args)
 
     def test_p1_beats_random_guess(self):
         rng = np.random.default_rng(5)
