@@ -21,6 +21,7 @@ import numpy as np
 
 from . import simcore as sc
 from .errors import (
+    BadParameter,
     DimensionMismatch,
     IncompleteProjectors,
     IntegratorDiverged,
@@ -711,31 +712,99 @@ def _cf4_steps(duration: float, h_norm: float) -> int:
                             * (1 - 1e-12)))
 
 
-def _cf4_interval(hamiltonian, t0: float, t1: float, psi, steps: int,
-                  max_change: float):
-    """Apply `steps` CF4 steps over [t0, t1] to psi. Returns the new state,
-    or None if H changes by more than `max_change` (Frobenius norm) from a
-    step's first node to its midpoint or from there to its second node, and
-    the number of H(t) evaluations made."""
-    h = (t1 - t0) / steps
-    for k in range(0, steps, _CF4_BATCH):
-        t = t0 + h * np.arange(k, min(k + _CF4_BATCH, steps))
-        Ha = hamiltonian(t + (0.5 - _CF4_C) * h)
-        Hm = hamiltonian(t + 0.5 * h)
-        Hb = hamiltonian(t + (0.5 + _CF4_C) * h)
-        change = np.linalg.norm(np.stack([Hm - Ha, Hb - Hm]), axis=(2, 3))
-        if change.max() > max_change:
-            return None, 3 * (k + len(t))
-        # per step, the exponential weighted to the earlier node acts first
-        w, V = np.linalg.eigh(np.stack([_CF4_A2 * Ha + _CF4_A1 * Hb,
-                                        _CF4_A1 * Ha + _CF4_A2 * Hb], axis=1))
-        E = (V * np.exp(-1j * h * w)[..., None, :]) @ V.conj().swapaxes(-1, -2)
-        U = E[:, 1] @ E[:, 0]
-        while len(U) > 1:  # pairwise binary tree, later step on the left
-            even = len(U) - len(U) % 2
-            U = np.concatenate([U[1:even:2] @ U[0:even:2], U[even:]])
-        psi = U[0] @ psi
-    return psi, 3 * steps
+def _cf4_exp(A: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """exp(-ihA) for a stack of Hermitian A, shape (..., d, d), and step
+    lengths h that broadcast to A's leading shape. For d = 2 this is the
+    closed form e^{-iht}(cos(hr) I - i sin(hr)(A - tI)/r), t = tr A / 2 and
+    r the norm of the traceless part, whose limit at r = 0 is e^{-iht} I;
+    for d > 2 it comes from one batched eigh."""
+    if A.shape[-1] == 2:
+        t = (A[..., 0, 0] + A[..., 1, 1]).real / 2
+        r = np.hypot((A[..., 0, 0] - A[..., 1, 1]).real / 2,
+                     np.abs(A[..., 1, 0]))
+        # sin(hr) / r, written h sinc(hr / pi) so that r = 0 gives h
+        s = h * np.sinc(h * r / np.pi)
+        eye = np.eye(2)
+        E = (np.cos(h * r)[..., None, None] * eye
+             - 1j * s[..., None, None] * (A - t[..., None, None] * eye))
+        return np.exp(-1j * h * t)[..., None, None] * E
+    w, V = np.linalg.eigh(A)
+    return ((V * np.exp(-1j * h[..., None] * w)[..., None, :])
+            @ V.conj().swapaxes(-1, -2))
+
+
+def _cf4_tree(U: np.ndarray) -> np.ndarray:
+    """Products along axis 1 of a (m, n, d, d) stack of step propagators,
+    later step on the left, as a pairwise binary tree."""
+    while U.shape[1] > 1:
+        even = U.shape[1] - U.shape[1] % 2
+        U = np.concatenate([U[:, 1:even:2] @ U[:, 0:even:2], U[:, even:]],
+                           axis=1)
+    return U[:, 0]
+
+
+def _cf4_chunk(hamiltonian, t0, h, first, count, max_change: float):
+    """Segment j is the count[j] CF4 steps of length h[j] from t0[j]
+    numbered first[j], first[j] + 1, ... (0 is the step that starts at
+    t0[j]). H(t) is evaluated at the nodes of every step of every segment
+    in three stacked calls. Returns, per segment, its propagator, or None
+    if H changes by more than `max_change` (Frobenius norm) in one of its
+    steps from the first node to the midpoint or from there to the second
+    node."""
+    seg = np.repeat(np.arange(count.size), count)
+    start = np.cumsum(count) - count
+    hs = h[seg]
+    t = t0[seg] + hs * (np.arange(seg.size) - start[seg] + first[seg])
+    Ha = hamiltonian(t + (0.5 - _CF4_C) * hs)
+    Hm = hamiltonian(t + 0.5 * hs)
+    Hb = hamiltonian(t + (0.5 + _CF4_C) * hs)
+    change = np.linalg.norm(np.stack([Hm - Ha, Hb - Hm]), axis=(2, 3))
+    ok = ~(np.maximum.reduceat(change.max(axis=0), start) > max_change)
+    props = [None] * count.size
+    if not ok.any():
+        return props
+    keep = ok[seg]
+    Ha, Hb = Ha[keep], Hb[keep]
+    # per step, the exponential weighted to the earlier node acts first
+    E = _cf4_exp(np.stack([_CF4_A2 * Ha + _CF4_A1 * Hb,
+                           _CF4_A1 * Ha + _CF4_A2 * Hb], axis=1),
+                 hs[keep, None])
+    U = E[:, 1] @ E[:, 0]
+    kept = np.cumsum(count * ok) - count * ok  # each segment's first row
+    for n in np.unique(count[ok]):
+        js = np.flatnonzero(ok & (count == n))
+        for j, P in zip(js, _cf4_tree(U[kept[js, None] + np.arange(n)])):
+            props[j] = P
+    return props
+
+
+def _cf4_sweep(hamiltonian, t0, h, steps, size: int, max_change: float):
+    """Propagate interval i by steps[i] CF4 steps of length h[i] from t0[i],
+    for every i. Each interval is cut into segments of at most `size` steps,
+    and the segments are evaluated in grid order, in chunks of at most
+    `size` steps. Once a chunk finds an interval whose H changes too fast,
+    the rest of that interval is skipped. Returns, per interval, the list of
+    its segment propagators in order, or None; and the number of H(t)
+    evaluations made."""
+    segs = [(i, k, min(size, n - k))
+            for i, n in enumerate(steps) for k in range(0, n, size)]
+    props = [[] for _ in steps]
+    evals = 0
+    while segs:
+        total = j = 0
+        while j < len(segs) and total + segs[j][2] <= size:
+            total += segs[j][2]
+            j += 1
+        i, first, count = map(np.array, zip(*segs[:j]))
+        out = _cf4_chunk(hamiltonian, t0[i], h[i], first, count, max_change)
+        evals += 3 * total
+        for ii, P in zip(i, out):
+            if P is None:
+                props[ii] = None
+            elif props[ii] is not None:
+                props[ii].append(P)
+        segs = [s for s in segs[j:] if props[s[0]] is not None]
+    return props, evals
 
 
 def solve_ivp(hamiltonian, t_grid, psi0) -> Propagation:
@@ -754,30 +823,53 @@ def solve_ivp(hamiltonian, t_grid, psi0) -> Propagation:
     That count is doubled, at most 12 times before IntegratorDiverged,
     until in every step H changes by at most 0.01 max|H|_F from the first
     Gauss node to the midpoint and from there to the second node; the
-    midpoint sees an H that oscillates in step with the grid. Exponentials
-    of up to _CF4_BATCH steps come from one batched eigh and are multiplied
-    in a binary tree, so memory is bounded by that batch."""
+    midpoint sees an H that oscillates in step with the grid.
+
+    All intervals are evaluated together: H(t) at the nodes of up to
+    _CF4_BATCH steps per stacked call, and the exponentials of those steps
+    in one call (closed form for d = 2, one batched eigh above). The steps
+    of an interval, or of each _CF4_BATCH of them, are multiplied in a
+    binary tree, and the interval propagators are applied to psi in grid
+    order. The intervals that fail the change rule are then refined one at
+    a time, in grid order. A doubled count is evaluated half by half, so an
+    attempt that fails in its first half costs half the evaluations."""
     t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or t_grid.size == 0 \
+            or not np.isfinite(t_grid).all() or (np.diff(t_grid) <= 0).any():
+        raise BadParameter("t_grid must be a non-empty list of finite, "
+                           "strictly increasing times")
     H = hamiltonian(t_grid)
+    psi = np.asarray(psi0, dtype=complex)
+    if psi.shape != H.shape[-1:]:
+        raise DimensionMismatch(f"psi0 must be one state of {H.shape[-1]} "
+                                f"amplitudes, got shape {psi.shape}")
     h_norm = np.abs(np.linalg.eigvalsh(H)).max()
     max_change = _CF4_MAX_CHANGE * np.linalg.norm(H, axis=(1, 2)).max()
-    psi = np.asarray(psi0, dtype=complex)
-    states, nfev = [psi], len(t_grid)
-    for t0, t1 in zip(t_grid[:-1], t_grid[1:]):
-        steps = _cf4_steps(t1 - t0, h_norm)
-        for _ in range(_CF4_MAX_REFINE + 1):
-            new, evals = _cf4_interval(hamiltonian, t0, t1, psi, steps,
-                                       max_change)
-            nfev += evals
-            if new is not None:
+    t0, t1 = t_grid[:-1], t_grid[1:]
+    steps = np.array([_cf4_steps(b - a, h_norm) for a, b in zip(t0, t1)],
+                     dtype=int)
+    props, nfev = _cf4_sweep(hamiltonian, t0, (t1 - t0) / steps, steps,
+                             _CF4_BATCH, max_change)
+    nfev += t_grid.size
+    for i in range(steps.size):
+        n = steps[i]
+        for _ in range(_CF4_MAX_REFINE):
+            if props[i] is not None:
                 break
-            steps *= 2
-        else:
+            n *= 2
+            (props[i],), evals = _cf4_sweep(
+                hamiltonian, t0[i:i + 1], (t1[i:i + 1] - t0[i]) / n, [n],
+                min(n // 2, _CF4_BATCH), max_change)
+            nfev += evals
+        if props[i] is None:
             raise IntegratorDiverged(
-                f"H(t) changes too fast on [{t0:g}, {t1:g}] to resolve")
-        psi = new
+                f"H(t) changes too fast on [{t0[i]:g}, {t1[i]:g}] to resolve")
+    states = [psi]
+    for segments in props:
+        for U in segments:
+            psi = U @ psi
         states.append(psi)
-    return Propagation(np.array(states), nfev)
+    return Propagation(np.array(states), int(nfev))
 
 
 def landau_zener(alpha: float, Delta: float) -> float:
@@ -789,7 +881,12 @@ def landau_zener(alpha: float, Delta: float) -> float:
     of solve_ivp, whose change rule never binds on this linear ramp, so it
     takes ceil(2 T0 |H(T0)| / 0.25) Magnus steps, |H(T0)| = hypot(a T0/2, D):
     no step turns the phase by more than a quarter radian at the ends, where
-    |H| is largest. The asymptotic value is exp(-2 pi D^2 / a)."""
+    |H| is largest. The asymptotic value is exp(-2 pi D^2 / a). Raises
+    BadParameter unless alpha > 0 and both are finite."""
+    if not (math.isfinite(alpha) and alpha > 0 and math.isfinite(Delta)):
+        raise BadParameter(f"landau_zener needs a finite alpha > 0 and a "
+                           f"finite Delta, got alpha={alpha!r}, "
+                           f"Delta={Delta!r}")
     if Delta == 0.0:
         return 1.0
     t_char = max(Delta / alpha, 1 / Delta, 1 / np.sqrt(alpha))
@@ -815,9 +912,23 @@ def adiabatic_follow(H0, H1, T: float, schedule=None):
     Where the schedule moves lam by more than about 0.01 within one step,
     solve_ivp doubles that interval's steps until it does not. The schedule
     is called on scalar s: at the check points, and at the two Gauss nodes
-    and the midpoint of every step."""
+    and the midpoint of every step.
+
+    Before anything is propagated, H0 and H1 that are not square matrices
+    of one shape (at least 2 x 2) raise DimensionMismatch, a non-Hermitian
+    one NotHermitian, and a T that is not finite and > 0 BadParameter."""
     H0 = np.asarray(H0, dtype=complex)
     H1 = np.asarray(H1, dtype=complex)
+    if H0.ndim != 2 or H0.shape[0] != H0.shape[1] or H0.shape[0] < 2 \
+            or H1.shape != H0.shape:
+        raise DimensionMismatch(f"H0 and H1 must be square matrices of one "
+                                f"shape, at least 2 x 2, got {H0.shape} "
+                                f"and {H1.shape}")
+    for name, M in (("H0", H0), ("H1", H1)):
+        if not np.allclose(M, M.conj().T, atol=1e-10):
+            raise NotHermitian(f"{name} is not Hermitian")
+    if not (math.isfinite(T) and T > 0):
+        raise BadParameter(f"T must be finite and > 0, got {T!r}")
     lam = schedule or (lambda s: s)
 
     def H(s_values):

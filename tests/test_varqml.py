@@ -914,6 +914,129 @@ class TestStepHalving:
         assert np.abs(f - f_fine).max() <= 1e-7
 
 
+def eigh_exponential(A, h):
+    w, V = np.linalg.eigh(A)
+    return (V * np.exp(-1j * h[..., None] * w)[..., None, :]) \
+        @ V.conj().swapaxes(-1, -2)
+
+
+class TestCF4Sweep:
+    """The batched sweep of solve_ivp: the closed-form two-level
+    exponential, the order of the step products, and fail-fast refinement."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_two_level_exponential_matches_eigh(self, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(64, 2, 2, 2)) + 1j * rng.normal(size=(64, 2, 2, 2))
+        A = (X + X.conj().swapaxes(-1, -2)) / 2
+        h = rng.uniform(0, 1, (64, 2))
+        assert np.abs(vq._cf4_exp(A, h) - eigh_exponential(A, h)).max() \
+            <= 1e-14
+
+    @pytest.mark.parametrize("c", [0.0, -0.7, 2.5])
+    def test_two_level_exponential_at_zero_traceless_part(self, c):
+        A = np.broadcast_to(c * np.eye(2), (3, 2, 2))
+        h = np.array([0.0, 0.1, 0.3])
+        E = vq._cf4_exp(A, h)
+        assert np.abs(E - eigh_exponential(A, h)).max() <= 1e-14
+        assert np.array_equal(E, np.exp(-1j * c * h)[:, None, None]
+                              * np.eye(2))
+
+    @pytest.mark.parametrize("n", [1, 6, 7])
+    def test_grid_prefix_bit_for_bit(self, monkeypatch, n):
+        # states[i] of one sweep over the grid equals the last state of a
+        # sweep over the first i + 1 grid times, and of a sweep over interval
+        # i alone from states[i - 1]: batching the intervals neither moves
+        # their steps nor reorders or regroups the step products. The change
+        # bound scales with max |H| on the grid, so it is lifted here to keep
+        # the step counts of a sub-grid those of the whole grid.
+        fixed_steps(monkeypatch, n)
+        monkeypatch.setattr(vq, "_CF4_MAX_CHANGE", math.inf)
+        grid = np.linspace(-3.0, 3.0, 7)
+        for sweep in (TestMagnusPropagator.sweep, four_level_sweep):
+            psi0 = np.eye(sweep(grid[:1]).shape[-1])[0]
+            states = vq.solve_ivp(sweep, grid, psi0).states
+            for i in range(1, grid.size):
+                prefix = vq.solve_ivp(sweep, grid[:i + 1], psi0).states[-1]
+                alone = vq.solve_ivp(sweep, grid[i - 1:i + 1],
+                                     states[i - 1]).states[-1]
+                assert np.array_equal(states[i], prefix)
+                assert np.array_equal(states[i], alone)
+
+    def test_unresolvable_hamiltonian_fails_fast(self):
+        # 36,960 schedule calls before the raise when every interval was
+        # refined alone to the end
+        H0 = -sc.pauli_reconstruct([("XI", 1.0), ("IX", 1.0)], 2)
+        H1 = vq.IsingModel({(0, 1): 0.7},
+                           np.array([0.3, -0.5])).hamiltonian()
+        calls = []
+
+        def schedule(s):
+            calls.append(s)
+            return (s * 1e7) % 1.0
+
+        with pytest.raises(IntegratorDiverged, match=r"too fast on \[0, "):
+            vq.adiabatic_follow(H0, H1, 8.0, schedule)
+        assert len(calls) <= 36960
+
+
+def four_level_sweep(t):
+    # a 4 x 4 sweep with complex couplings, so the steps go through eigh
+    H = np.zeros((t.size, 4, 4), dtype=complex)
+    H[:, range(4), range(4)] = np.outer(t, [1.0, -0.5, 0.25, -1.0])
+    H[:, 0, 1] = H[:, 2, 3] = 0.5 + 0.5j
+    H[:, 1, 2] = 0.3
+    return H + np.triu(H, 1).conj().swapaxes(1, 2)
+
+
+class TestDynamicsBoundary:
+    H0 = -sc.pauli_reconstruct([("XI", 1.0), ("IX", 1.0)], 2)
+    H1 = vq.IsingModel({(0, 1): 0.7}, np.array([0.3, -0.5])).hamiltonian()
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_follow_rejects_non_hermitian(self, which):
+        H = [self.H0, self.H1]
+        H[which] = H[which] + np.triu(np.ones((4, 4)), 1)
+        with pytest.raises(NotHermitian, match=f"H{which}"):
+            vq.adiabatic_follow(*H, 10.0)
+
+    @pytest.mark.parametrize("H0, H1", [
+        (np.eye(4)[:3], np.eye(4)[:3]),
+        (np.eye(4), np.eye(2)),
+        (np.eye(4)[None], np.eye(4)[None]),
+        (np.eye(1), np.eye(1)),
+    ])
+    def test_follow_rejects_shapes(self, H0, H1):
+        with pytest.raises(DimensionMismatch):
+            vq.adiabatic_follow(H0, H1, 10.0)
+
+    @pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf])
+    def test_follow_rejects_duration(self, T):
+        with pytest.raises(BadParameter, match="T must be"):
+            vq.adiabatic_follow(self.H0, self.H1, T)
+
+    @pytest.mark.parametrize("alpha, Delta", [
+        (0.0, 1.0), (-1.0, 1.0), (math.nan, 1.0), (math.inf, 1.0),
+        (1.0, math.nan), (1.0, math.inf),
+    ])
+    def test_landau_zener_rejects(self, alpha, Delta):
+        with pytest.raises(BadParameter, match="alpha"):
+            vq.landau_zener(alpha, Delta)
+
+    @pytest.mark.parametrize("psi0", [[1, 0, 0], [[1, 0]], 1.0])
+    def test_solve_ivp_rejects_state_shape(self, psi0):
+        with pytest.raises(DimensionMismatch, match="psi0"):
+            vq.solve_ivp(TestMagnusPropagator.sweep, [0.0, 1.0], psi0)
+
+    @pytest.mark.parametrize("grid", [
+        [1.0, 0.0], [0.0, 0.0], [0.0, math.nan], [0.0, math.inf], [],
+        [[0.0, 1.0]],
+    ])
+    def test_solve_ivp_rejects_grid(self, grid):
+        with pytest.raises(BadParameter, match="t_grid"):
+            vq.solve_ivp(TestMagnusPropagator.sweep, grid, [1, 0])
+
+
 class TestLossProfile:
     def test_std_grows_with_cube_width(self):
         rng = np.random.default_rng(11)
