@@ -18,6 +18,7 @@ from .errors import (
     DimensionMismatch,
     NoSolutions,
     NotAnEigenvector,
+    NotHermitian,
     PostselectionImpossible,
     SingularMatrix,
 )
@@ -157,17 +158,16 @@ class QPEResult:
     success_probability: float
 
 
-def qpe_register_amplitudes(phi: float, n_anc: int) -> np.ndarray:
+def qpe_register_amplitudes(phi, n_anc: int) -> np.ndarray:
     """Exact ancilla amplitudes alpha_l after inverse QFT for eigenphase phi.
 
-    alpha_l = 2^{-n} sum_k e^{2 pi i k (phi - l/2^n)}  (geometric series).
+    alpha_l = 2^{-n} sum_k e^{2 pi i k (phi - l/2^n)}: the DFT of the phase
+    ramp e^{2 pi i k phi}, one FFT over the last axis. phi is a float or an
+    array of phases; the result has shape phi.shape + (2^n,).
     """
     dim = 2**n_anc
-    k = np.arange(dim)
-    return np.array(
-        [np.sum(np.exp(2j * np.pi * k * (phi - l / dim))) / dim
-         for l in range(dim)]
-    )
+    ramp = np.exp(2j * np.pi * np.multiply.outer(phi, np.arange(dim)))
+    return np.fft.fft(ramp, axis=-1) / dim
 
 
 def qpe_ancilla_bits(t_bits: int, epsilon: float) -> int:
@@ -309,23 +309,25 @@ def _qpe_eigen_filter(A: np.ndarray, x: np.ndarray, f, t_bits: int):
     amplitude f(l/2^t) on the ancilla-1 branch, inverse QPE uncomputes, and
     we post-select ancilla 1 and register 0. In A's eigenbasis the whole
     pipeline reduces to the filter coefficient sum_l |alpha_l|^2 f(l/2^t)
-    per eigencomponent.
+    per eigencomponent. A must be Hermitian with eigenvalues in (0, 1), so
+    that each eigenvalue is read as a phase without wrapping. Returns
+    (state, p_acc, eigenvalues).
     """
     if not np.allclose(A, A.conj().T, atol=1e-10):
-        raise SingularMatrix("protocol expects a Hermitian matrix")
+        raise NotHermitian("protocol expects a Hermitian matrix")
     lam, V = np.linalg.eigh(A)
+    if lam.min() <= 0 or lam.max() >= 1:
+        raise BadParameter(f"eigenvalues must lie in (0, 1), got "
+                           f"{lam.min()!r}..{lam.max()!r}")
     c = V.conj().T @ x
     dim = 2**t_bits
-    weights = np.empty(lam.size)
-    for r, lr in enumerate(lam):
-        probs = np.abs(qpe_register_amplitudes(float(lr), t_bits)) ** 2
-        weights[r] = float(np.sum(probs * f(np.arange(dim) / dim)))
-    out_eig = c * weights
+    probs = np.abs(qpe_register_amplitudes(lam, t_bits)) ** 2
+    out_eig = c * (probs @ f(np.arange(dim) / dim))
     p_acc = float(np.sum(np.abs(out_eig) ** 2))
     if p_acc < 1e-12:
         raise PostselectionImpossible("acceptance probability vanishes")
     out = V @ out_eig
-    return out / np.linalg.norm(out), p_acc
+    return out / np.linalg.norm(out), p_acc, lam
 
 
 def _phase_aligned_distance(out: np.ndarray, exact: np.ndarray) -> float:
@@ -343,28 +345,26 @@ def qpe_matrix_multiply(A: np.ndarray, x: np.ndarray, t_bits: int = 8):
     truncation_error) where the error is the distance to the exact
     A x / ||A x|| target.
     """
-    lam = np.linalg.eigvalsh((A + A.conj().T) / 2)
-    if lam.min() <= 0 or lam.max() >= 1:
-        raise ValueError("eigenvalues must lie in (0, 1)")
-    out, p_acc = _qpe_eigen_filter(A, x, lambda v: v, t_bits)
+    out, p_acc, _ = _qpe_eigen_filter(A, x, lambda v: v, t_bits)
     return out, p_acc, _phase_aligned_distance(out, A @ x)
 
 
 def qpe_matrix_invert(A: np.ndarray, x: np.ndarray, C: float,
                       t_bits: int = 8):
-    """Post-selected state proportional to A^{-1} x, with p_acc."""
-    lam = np.linalg.eigvalsh((A + A.conj().T) / 2)
-    if abs(np.linalg.det(A)) < 1e-14:
-        raise SingularMatrix("A is singular")
-    if C > lam.min() + 1e-12:
-        raise ValueError("C must not exceed the smallest eigenvalue")
+    """Post-selected state proportional to A^{-1} x, with p_acc.
 
+    Eigenvalues of A must lie in (0, 1), and C must not exceed the smallest.
+    """
     def f(v):
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.where(v > 0, C / np.maximum(v, 1e-300), 0.0)
         return np.clip(out, 0.0, 1.0)
 
-    out, p_acc = _qpe_eigen_filter(A, x, f, t_bits)
+    out, p_acc, lam = _qpe_eigen_filter(A, x, f, t_bits)
+    if lam.min() < 1e-14:
+        raise SingularMatrix("A is singular")
+    if C > lam.min() + 1e-12:
+        raise ValueError("C must not exceed the smallest eigenvalue")
     return out, p_acc, _phase_aligned_distance(out, np.linalg.solve(A, x))
 
 
@@ -404,6 +404,30 @@ def householder_prep(target: np.ndarray) -> np.ndarray:
     return ph * (np.eye(dim, dtype=complex) - 2.0 * np.outer(w, w.conj()))
 
 
+def _lcu_parts(alphas, unitaries):
+    """Prep unitary, select stack and alpha of A = sum alpha_k U_k.
+
+    Prep maps e_0 to sqrt(alpha_k / alpha) on 2^a ancilla states; the
+    (2^a, dim, dim) stack holds U_k, padded with identities for k >= L.
+    """
+    alphas = np.asarray(alphas, dtype=float)
+    if np.any(alphas <= 0):
+        raise ValueError("alphas must be positive")
+    L = len(unitaries)
+    dim = unitaries[0].shape[0]
+    for U in unitaries:
+        if U.shape != (dim, dim):
+            raise DimensionMismatch("unitaries differ in dimension")
+    A_dim = 2 ** max(1, math.ceil(math.log2(L)))
+    alpha = alphas.sum()
+    amps = np.zeros(A_dim)
+    amps[:L] = np.sqrt(alphas / alpha)
+    U = np.empty((A_dim, dim, dim), dtype=complex)
+    U[:L] = unitaries
+    U[L:] = np.eye(dim)
+    return householder_prep(amps.astype(complex)), U, float(alpha)
+
+
 def lcu_block_encode(alphas, unitaries):
     """Prep^dag Select Prep block encoding of A = sum alpha_i U_i.
 
@@ -418,29 +442,25 @@ def lcu_block_encode(alphas, unitaries):
     Prep, with no kron factor or dense select; the peak memory is twice
     the output.
     """
-    alphas = np.asarray(alphas, dtype=float)
-    if np.any(alphas <= 0):
-        raise ValueError("alphas must be positive")
-    L = len(unitaries)
-    dim = unitaries[0].shape[0]
-    for U in unitaries:
-        if U.shape != (dim, dim):
-            raise DimensionMismatch("unitaries differ in dimension")
-    a = max(1, math.ceil(math.log2(L)))
-    A_dim = 2**a
-    alpha = alphas.sum()
-    amps = np.zeros(A_dim)
-    amps[:L] = np.sqrt(alphas / alpha)
-    prep = householder_prep(amps.astype(complex))
-    U = np.empty((A_dim, dim, dim), dtype=complex)
-    U[:L] = unitaries
-    U[L:] = np.eye(dim)
+    prep, U, alpha = _lcu_parts(alphas, unitaries)
+    A_dim, dim = U.shape[:2]
     # T[k, a, j, b] = P_kj U_k[a, b]; summing conj(P_ki) T[k] over k gives
     # full[i dim + a, j dim + b]
     T = U[:, :, None, :] * prep[:, None, :, None]
     full = (prep.conj().T @ T.reshape(A_dim, -1)).reshape(A_dim * dim,
                                                            A_dim * dim)
-    return full, float(alpha)
+    return full, alpha
+
+
+def lcu_top_block(alphas, unitaries):
+    """Top-left dim x dim block of `lcu_block_encode`, and alpha.
+
+    Block (0, 0) is sum_k |P_k0|^2 U_k, so it needs only Prep's first
+    column: one contraction of its squared magnitudes with the select
+    stack, without the (2^a dim)^2 encoding.
+    """
+    prep, U, alpha = _lcu_parts(alphas, unitaries)
+    return np.tensordot(np.abs(prep[:, 0]) ** 2, U, axes=1), alpha
 
 
 def lcu_extract_block(full: np.ndarray, dim: int) -> np.ndarray:

@@ -181,10 +181,9 @@ def _exp_lcu(rng, n=2):
     unitaries = [np.sign(c) * simcore.pauli_matrix(lab)
                  for lab, c in terms]
     keep = alphas > 1e-12
-    full, alpha = algos.lcu_block_encode(
+    block, alpha = algos.lcu_top_block(
         alphas[keep], [u for u, k in zip(unitaries, keep) if k]
     )
-    block = algos.lcu_extract_block(full, 2**n)
     err = np.abs(block - A / alpha).max()
     return ["n", "terms", "alpha", "block_error"], [
         [n, int(keep.sum()), alpha, err]

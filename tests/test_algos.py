@@ -3,6 +3,7 @@ QFT, phase estimation, Grover, DQC1, the swap test, QPE-based matrix
 protocols, and LCU block encoding."""
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from qdesk.errors import (
     BadParameter,
     NoSolutions,
     NotAnEigenvector,
+    NotHermitian,
     PostselectionImpossible,
+    SingularMatrix,
 )
 
 
@@ -142,6 +145,67 @@ class TestQPE:
         circ = algos.qpe_circuit_distribution(U, eig, 4)
         closed = np.abs(algos.qpe_register_amplitudes(phi, 4)) ** 2
         assert np.abs(circ - closed).max() < 1e-12
+
+    @staticmethod
+    def dirichlet(phi, t):
+        # alpha_l = e^{i pi (N-1) d} sin(pi N d) / (N sin(pi d)) with
+        # d = phi - l/N reduced exactly into [-1/2, 1/2): the law is
+        # 1-periodic in d, and small |d| keeps sin(pi d) accurate
+        N = 2**t
+        out = np.empty(N, dtype=complex)
+        for l in range(N):
+            d = (Fraction(phi) - Fraction(l, N)) % 1
+            d = float(d - 1 if d >= Fraction(1, 2) else d)
+            if d == 0:
+                out[l] = 1.0
+            else:
+                out[l] = (np.exp(1j * np.pi * (N - 1) * d)
+                          * np.sin(np.pi * N * d) / (N * np.sin(np.pi * d)))
+        return out
+
+    @staticmethod
+    def phases(t, rng):
+        N = 2**t
+        exact = [k / N for k in rng.integers(0, N, size=4)]
+        return [*rng.uniform(size=4), *exact, 0.0, 1e-13, 3e-9,
+                1 - 1e-13, 1 - 3e-9, 1 / N + 1e-12]
+
+    @pytest.mark.parametrize("t", range(1, 13))
+    def test_register_law_matches_dirichlet(self, t):
+        rng = np.random.default_rng(100 + t)
+        for phi in self.phases(t, rng):
+            law = algos.qpe_register_amplitudes(phi, t)
+            assert np.abs(law - self.dirichlet(phi, t)).max() < 1e-10
+
+    @pytest.mark.parametrize("t", range(1, 11))
+    def test_register_law_matches_direct_sum(self, t):
+        # the geometric series summed term by term, one l at a time
+        rng = np.random.default_rng(200 + t)
+        N = 2**t
+        k = np.arange(N)
+        for phi in self.phases(t, rng):
+            direct = np.array([np.sum(np.exp(2j * np.pi * k * (phi - l / N)))
+                               / N for l in range(N)])
+            law = algos.qpe_register_amplitudes(phi, t)
+            assert np.abs(law - direct).max() < 1e-12
+
+    @pytest.mark.parametrize("t", [1, 4, 9, 12])
+    def test_register_law_rows_equal_single_calls(self, t):
+        rng = np.random.default_rng(300 + t)
+        phis = np.array(self.phases(t, rng)).reshape(2, -1)
+        law = algos.qpe_register_amplitudes(phis, t)
+        assert law.shape == phis.shape + (2**t,)
+        for idx in np.ndindex(phis.shape):
+            assert np.array_equal(
+                law[idx], algos.qpe_register_amplitudes(float(phis[idx]), t))
+
+    @pytest.mark.parametrize("t", range(1, 13))
+    def test_exact_fractions_are_one_hot(self, t):
+        N = 2**t
+        rng = np.random.default_rng(400 + t)
+        ks = np.unique(np.r_[0, 1, N - 1, rng.integers(0, N, size=61)])
+        law = algos.qpe_register_amplitudes(ks / N, t)
+        assert np.abs(law - np.eye(N)[ks]).max() < 1e-12
 
     def test_ancilla_formula(self):
         # t + ceil(log2(2 + 1/(2 eps)))
@@ -290,6 +354,47 @@ class TestMatrixProtocols:
             algos._qpe_eigen_filter(A, x, lambda v: np.zeros_like(v), 4)
 
 
+    def test_invert_rejects_wrapping_eigenvalues(self):
+        # 1.25 would be read as the phase 0.25
+        A = np.diag([0.5, 1.25]).astype(complex)
+        x = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
+        with pytest.raises(BadParameter, match=r"\(0, 1\)"):
+            algos.qpe_matrix_invert(A, x, 0.5, t_bits=6)
+        with pytest.raises(BadParameter, match=r"\(0, 1\)"):
+            algos.qpe_matrix_multiply(A, x, t_bits=6)
+
+    @pytest.mark.parametrize("lam", [[0.0, 0.5], [-0.25, 0.5], [0.5, 1.0]])
+    def test_eigenvalues_outside_unit_interval(self, lam):
+        A = np.diag(lam).astype(complex)
+        x = np.array([0.6, 0.8], dtype=complex)
+        for call in (lambda: algos.qpe_matrix_multiply(A, x, 6),
+                     lambda: algos.qpe_matrix_invert(A, x, 0.25, 6)):
+            with pytest.raises(BadParameter):
+                call()
+
+    def test_invert_small_but_well_conditioned(self):
+        # det(0.01 I_8) = 1e-16, but every eigenvalue is 0.01
+        A = 0.01 * np.eye(8, dtype=complex)
+        x = sc.haar_random_state(8, np.random.default_rng(16))
+        out, p_acc, err = algos.qpe_matrix_invert(A, x, 0.01, t_bits=8)
+        assert abs(np.vdot(x, out)) ** 2 == pytest.approx(1.0, abs=1e-12)
+        assert 0 < p_acc <= 1
+
+    def test_invert_singular(self):
+        A = np.diag([1e-16, 0.5]).astype(complex)
+        x = np.array([0.6, 0.8], dtype=complex)
+        with pytest.raises(SingularMatrix):
+            algos.qpe_matrix_invert(A, x, 0.25, t_bits=6)
+
+    def test_not_hermitian(self):
+        A = np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex)
+        x = np.array([1.0, 0.0], dtype=complex)
+        with pytest.raises(NotHermitian):
+            algos.qpe_matrix_multiply(A, x, 6)
+        with pytest.raises(NotHermitian):
+            algos.qpe_matrix_invert(A, x, 0.25, 6)
+
+
 class TestLCU:
     def test_householder_prep(self):
         rng = np.random.default_rng(13)
@@ -352,3 +457,15 @@ class TestLCU:
         monkeypatch.setattr(np, "kron", kron)
         full, _ = algos.lcu_block_encode([1.0, 0.5, 0.25], unis)
         assert full.shape == (16, 16)
+
+    @given(st.integers(1, 9), st.integers(2, 8), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_top_block_matches_full_encoding(self, L, dim, seed):
+        rng = np.random.default_rng(seed)
+        alphas = rng.uniform(0.05, 3.0, size=L)
+        unis = [sc.haar_random_unitary(dim, rng) for _ in range(L)]
+        full, alpha = algos.lcu_block_encode(alphas, unis)
+        block, top_alpha = algos.lcu_top_block(alphas, unis)
+        assert top_alpha == alpha
+        assert np.abs(block - algos.lcu_extract_block(full, dim)).max() \
+            < 1e-14

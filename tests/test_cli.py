@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from qdesk import cli
+from qdesk import algos, cli
 from qdesk.errors import BadParameter
 
 
@@ -458,6 +458,33 @@ class TestRun:
         text = cli.run_config({"experiment": "landau-zener", "seed": 1,
                                "params": {"eta_grid": [1.0]}})
         assert "eta,probability,formula" in text.splitlines()
+
+    def test_lcu_reads_the_top_block_only(self, monkeypatch):
+        def whole(*args):
+            raise AssertionError("lcu_block_encode called")
+
+        monkeypatch.setattr(algos, "lcu_block_encode", whole)
+        for n in (1, 2, 3):
+            text = cli.run_config({"experiment": "lcu", "seed": n,
+                                   "params": {"n": n}})
+            assert float(text.splitlines()[-1].split(",")[3]) <= 1e-10
+
+    def test_lcu_at_its_cap(self):
+        # n = 4: 136 terms; the whole encoding would be 4096 x 4096
+        row = cli.run_config({"experiment": "lcu", "seed": 7,
+                              "params": {"n": 4}}).splitlines()[-1]
+        n, terms, alpha, err = row.split(",")
+        assert (n, terms) == ("4", "136")
+        assert float(err) <= 1e-10
+
+    def test_qpe_bound_at_its_cap(self):
+        # 12 ancillas: every phase is estimated within 2^-t at >= 1 - eps
+        text = cli.run_config({"experiment": "qpe-bound", "seed": 7,
+                               "params": {"t": 9, "epsilon": 0.1}})
+        rows = [line.split(",") for line in text.splitlines()
+                if line[0].isdigit()]
+        assert len(rows) == 10
+        assert all(r[1] == "12" and float(r[2]) >= 0.9 for r in rows)
 
     def test_run_non_object_config_with_seed_exit_2(self, tmp_path, capsys):
         path = tmp_path / "list.json"
