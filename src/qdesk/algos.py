@@ -21,6 +21,7 @@ from .errors import (
     NotHermitian,
     PostselectionImpossible,
     SingularMatrix,
+    _check_counts,
 )
 
 # --- Bell states and teleportation ---------------------------------------
@@ -71,8 +72,8 @@ def teleport(psi: np.ndarray, rng: np.random.Generator):
 
 
 def teleport_branches(psi: np.ndarray):
-    """The four post-measurement states of qubit 2 *before* correction,
-    indexed by (m1, m2). Useful against the case-table oracle."""
+    """Oracle for the X^m2 Z^m1 corrections that teleport applies: the four
+    states of qubit 2 *before* correction, indexed by (m1, m2)."""
     t = _teleport_premeasure(psi).reshape(2, 2, 2)
     out = {}
     for m1 in (0, 1):
@@ -249,6 +250,7 @@ def dqc1_trace(U: np.ndarray, shots: int, rng: np.random.Generator) -> complex:
     maximally mixed register gives the real part; the S^dag variant gives
     the imaginary part. Shots are drawn from the exact outcome law.
     """
+    _check_counts(shots=shots)
     dim = U.shape[0]
     tr = np.trace(U) / dim
     est = []
@@ -280,6 +282,7 @@ def dqc1_exact_expectations(U: np.ndarray) -> complex:
 def overlap_test(x: np.ndarray, y: np.ndarray, shots: int,
                  rng: np.random.Generator) -> float:
     """Swap-test estimate of |<x|y>|^2: estimate = 2 P(0) - 1."""
+    _check_counts(shots=shots)
     if x.size != y.size:
         raise DimensionMismatch("states differ in dimension")
     p0 = (1 + abs(np.vdot(x, y)) ** 2) / 2
@@ -289,7 +292,8 @@ def overlap_test(x: np.ndarray, y: np.ndarray, shots: int,
 
 
 def swap_test_circuit_p0(x: np.ndarray, y: np.ndarray) -> float:
-    """P(ancilla = 0) from an explicit H / controlled-SWAP / H circuit."""
+    """Oracle for the law P(0) = (1 + |<x|y>|^2)/2 that overlap_test
+    samples, from an explicit H / controlled-SWAP / H circuit."""
     n = sc.n_qubits(x.size)
     psi = np.kron(np.kron(sc.basis_state(1), x), y)
     psi = sc.apply_gate(psi, sc.H, [0])

@@ -84,24 +84,24 @@ class SQVector:
         return idx.reshape(np.shape(u))[()]
 
 
-SAMPLE_FACTOR = 54.0
 BUCKET_FACTOR = 6.0
 SIZE_FACTOR = 9.0
 
 
 @dataclass
 class EstimatorConfig:
-    """Median-of-means parameters: s = ceil(54/eps^2 log(2/delta)) total
-    samples arranged as ceil(6 log(2/delta)) buckets of ceil(9/eps^2)."""
+    """Median-of-means parameters: b = ceil(6 log(2/delta)) buckets of
+    m = ceil(9/eps^2) samples, so the sketch draws b m samples in all.
+    Raises BadParameter unless eps is finite and > 0 and 0 < delta < 1."""
 
     epsilon: float
     delta: float
 
-    @property
-    def n_samples(self) -> int:
-        return math.ceil(
-            SAMPLE_FACTOR / self.epsilon**2 * math.log(2 / self.delta)
-        )
+    def __post_init__(self):
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0
+                and 0 < self.delta < 1):
+            raise BadParameter(f"need a finite epsilon > 0 and 0 < delta < 1,"
+                               f" got {self.epsilon!r} and {self.delta!r}")
 
     @property
     def n_buckets(self) -> int:
@@ -153,7 +153,8 @@ def enumerate_estimator_mean(x, y) -> complex:
 
 
 def enumerate_estimator_variance(x, y) -> float:
-    """E|z - E z|^2 by enumeration; bounded by ||x||^2 ||y||^2."""
+    """Oracle for the ||x||^2 ||y||^2 variance bound that the sketch's
+    bucket size rests on: E|z - E z|^2 by enumeration."""
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     p = np.abs(x) ** 2 / np.sum(np.abs(x) ** 2)
@@ -172,7 +173,10 @@ def nearest_centroid(train_X, train_y, test_x, cfg=None,
                      rng: np.random.Generator | None = None):
     """Classify by smallest ||test - centroid_c||^2, expanded as
     ||t||^2 - 2 Re(t . c) + ||c||^2 with the cross term estimated by
-    dequant_inner when a config is given (exact otherwise)."""
+    dequant_inner when a config is given (exact otherwise). A config
+    needs an rng to draw from; without one, BadParameter is raised."""
+    if cfg is not None and rng is None:
+        raise BadParameter("nearest_centroid needs an rng with a cfg")
     test_x = np.asarray(test_x, dtype=complex)
     labels = sorted(set(train_y))
     if not labels:

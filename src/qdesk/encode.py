@@ -30,18 +30,6 @@ class EncodingSpec:
     kind: str
     params: dict = field(default_factory=dict)
 
-    def to_json(self):
-        import json
-
-        return json.dumps({"kind": self.kind, "params": self.params})
-
-    @staticmethod
-    def from_json(text):
-        import json
-
-        d = json.loads(text)
-        return EncodingSpec(d["kind"], d.get("params", {}))
-
 
 def basis_encode(samples) -> np.ndarray:
     """Uniform superposition over the samples' basis states."""

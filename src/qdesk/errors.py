@@ -30,10 +30,6 @@ class InfiniteDivergence(QdeskError, ValueError):
     """Relative entropy is +inf: support of p not contained in support of q."""
 
 
-class ZeroProbabilityComponent(QdeskError, ValueError):
-    pass
-
-
 class ZeroProbabilityBranch(QdeskError, ValueError):
     pass
 

@@ -18,7 +18,6 @@ from .errors import (
     LengthMismatch,
     OutsideBlochBall,
     ZeroProbabilityBranch,
-    ZeroProbabilityComponent,
 )
 
 EIG_CLIP = 1e-14  # spectral floor before taking logs
@@ -104,14 +103,6 @@ def bhattacharyya_angle(p, q) -> float:
     return float(np.arccos(np.clip(np.sum(np.sqrt(p * q)), -1.0, 1.0)))
 
 
-def fisher_rao_metric(p) -> np.ndarray:
-    """Diagonal metric g_ii = 1/(4 p_i)."""
-    p = check_prob_vector(p)
-    if np.any(p <= 0):
-        raise ZeroProbabilityComponent("metric undefined at p_i = 0")
-    return np.diag(1.0 / (4.0 * p))
-
-
 def von_neumann_entropy(rho, base: float = 2.0) -> float:
     rho = check_density_matrix(rho)
     lam = np.linalg.eigvalsh(rho)
@@ -139,7 +130,7 @@ def quantum_relative_entropy(rho, eta, base: float = np.e) -> float:
 
 
 def qubit_relative_entropy_closed_form(tau_a, tau_b) -> float:
-    """Closed form (in nats) of D(rho_a||rho_b) for Bloch vectors tau.
+    """Oracle for quantum_relative_entropy, in nats, for Bloch vectors tau.
 
     D = 1/2 ln((1-a^2)/(1-b^2)) + (a/2) ln((1+a)/(1-a))
         - (tau_a . tau_b / (2 b)) ln((1+b)/(1-b)),
@@ -183,6 +174,7 @@ def schmidt_decompose(psi, split: tuple[int, int]):
 
 
 def schmidt_reconstruct(lambdas, left, right) -> np.ndarray:
+    """Oracle for schmidt_decompose: sum_k sqrt(lambda_k) |u_k>|v_k>."""
     out = np.zeros(left.shape[0] * right.shape[0], dtype=complex)
     for lam, u, v in zip(lambdas, left.T, right.T):
         out += np.sqrt(lam) * np.kron(u, v)
@@ -232,6 +224,7 @@ def bloch_to_density(tau) -> np.ndarray:
 
 
 def density_to_bloch(rho) -> np.ndarray:
+    """Oracle for bloch_to_density: tau_i = tr(rho sigma_i)."""
     rho = check_density_matrix(rho)
     return np.array([np.trace(rho @ s).real for s in (sc.X, sc.Y, sc.Z)])
 

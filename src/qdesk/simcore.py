@@ -231,6 +231,7 @@ def measure(state: np.ndarray, qubit: int, rng: np.random.Generator):
     of the supplied generator.
     """
     n = n_qubits(state.size)
+    (qubit,) = _qubits((qubit,))
     if not 0 <= qubit < n:
         raise TargetOutOfRange(f"qubit {qubit} out of range for n={n}")
     psi = state.reshape([2] * n)
@@ -242,13 +243,6 @@ def measure(state: np.ndarray, qubit: int, rng: np.random.Generator):
     psi[tuple(idx)] = 0.0
     norm = np.sqrt(p1 if bit else 1.0 - p1)
     return bit, (psi / norm).reshape(-1)
-
-
-def measure_all(state: np.ndarray, rng: np.random.Generator) -> tuple[int, ...]:
-    """Sample a full computational-basis outcome (no collapse bookkeeping)."""
-    n = n_qubits(state.size)
-    k = rng.choice(state.size, p=probabilities(state) / probabilities(state).sum())
-    return tuple((k >> (n - 1 - q)) & 1 for q in range(n))
 
 
 def statevector_to_density(psi: np.ndarray) -> np.ndarray:
@@ -336,13 +330,6 @@ def pauli_reconstruct(terms, n: int) -> np.ndarray:
     for lab, c in terms:
         out += c * pauli_matrix(lab)
     return out
-
-
-def hs_inner(A: np.ndarray, B: np.ndarray) -> complex:
-    """Normalized Hilbert-Schmidt inner product tr(A^dag B)/2^n."""
-    if A.shape != B.shape:
-        raise DimensionMismatch("operands differ in shape")
-    return complex(np.trace(A.conj().T @ B) / A.shape[0])
 
 
 def exp_hamiltonian(Hm: np.ndarray, t: float) -> np.ndarray:

@@ -7,7 +7,6 @@ MPS-structured projector model for anomaly detection.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,25 +147,6 @@ def mps_norm(mps: MPS, scheme: str = "sequential",
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     return (val, ctr.ops) if return_ops else val
-
-
-def mps_to_json(mps: MPS) -> str:
-    return json.dumps([
-        {"shape": list(A.shape),
-         "re": A.real.ravel().tolist(),
-         "im": A.imag.ravel().tolist()}
-        for A in mps.tensors
-    ])
-
-
-def mps_from_json(text: str) -> MPS:
-    cores = []
-    for rec in json.loads(text):
-        A = (np.array(rec["re"]) + 1j * np.array(rec["im"])).reshape(
-            rec["shape"]
-        )
-        cores.append(A)
-    return MPS(cores)
 
 
 # --- graph coloring ----------------------------------------------------------

@@ -12,7 +12,6 @@ convention and is validated against finite differences in the tests.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -360,16 +359,6 @@ def qubo_energy(Q, b, x) -> float:
     return float(x @ np.asarray(Q, dtype=float) @ x + b @ x)
 
 
-def solve_qubo_brute_force(Q, b=None):
-    n = np.asarray(Q).shape[0]
-    best, best_x = np.inf, None
-    for bits in itertools.product((0, 1), repeat=n):
-        e = qubo_energy(Q, b, bits)
-        if e < best:
-            best, best_x = e, bits
-    return np.array(best_x), best
-
-
 # --- QAOA ---------------------------------------------------------------------
 
 def qaoa_state(model: IsingModel, gammas, betas) -> np.ndarray:
@@ -475,27 +464,6 @@ def qboost_loss(predictions, labels, q_bits, lam: float, bits: int = 3):
     w = q @ np.array([2.0 ** -(b + 1) for b in range(bits)])
     resid = w @ Hk - y
     return float(resid @ resid / N + lam * q.sum())
-
-
-def simulated_annealing_qubo(Q, rng: np.random.Generator, sweeps: int = 400):
-    """Standard single-flip simulated annealing on a QUBO, cooling
-    geometrically from T = 2.0 to T = 0.01 over the sweeps."""
-    Q = np.asarray(Q, dtype=float)
-    n = Q.shape[0]
-    x = rng.integers(0, 2, n).astype(float)
-    Qs = Q + Q.T
-    e = float(x @ Q @ x)
-    best_x, best_e = x.copy(), e
-    temps = np.geomspace(2.0, 0.01, sweeps)
-    for T in temps:
-        for i in rng.permutation(n):
-            delta = (1 - 2 * x[i]) * (Qs[i] @ x) + Q[i, i]
-            if delta <= 0 or rng.random() < np.exp(-delta / T):
-                x[i] = 1 - x[i]
-                e += delta
-                if e < best_e:
-                    best_x, best_e = x.copy(), e
-    return best_x.astype(int), float(best_e)
 
 
 # --- Gibbs states -----------------------------------------------------------------
@@ -911,8 +879,9 @@ def adiabatic_follow(H0, H1, T: float, schedule=None):
     grid, so that no step turns the phase by more than a quarter radian.
     Where the schedule moves lam by more than about 0.01 within one step,
     solve_ivp doubles that interval's steps until it does not. The schedule
-    is called on scalar s: at the check points, and at the two Gauss nodes
-    and the midpoint of every step.
+    is called on scalar s: once at each check point, whose stack also gives
+    the instantaneous ground states, and at the two Gauss nodes and the
+    midpoint of every step.
 
     Before anything is propagated, H0 and H1 that are not square matrices
     of one shape (at least 2 x 2) raise DimensionMismatch, a non-Hermitian
@@ -940,9 +909,17 @@ def adiabatic_follow(H0, H1, T: float, schedule=None):
         raise IntegratorDiverged("degenerate initial ground state")
     psi0 = V[:, 0]
 
+    checks = []  # solve_ivp evaluates the check grid first
+
+    def H_t(t):
+        stack = H(t / T)
+        if not checks:
+            checks.append(stack)
+        return stack
+
     s_grid = np.linspace(0, 1, 51)
-    _, V = np.linalg.eigh(H(s_grid))
-    states = solve_ivp(lambda t: H(t / T), s_grid * T, psi0).states
+    states = solve_ivp(H_t, s_grid * T, psi0).states
+    _, V = np.linalg.eigh(checks[0])
     fids = np.abs(np.einsum("ij,ij->i", V[:, :, 0].conj(), states)) ** 2
     return s_grid, fids
 

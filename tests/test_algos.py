@@ -310,6 +310,14 @@ class TestSwapTest:
         rng = np.random.default_rng(0)
         assert algos.overlap_test(x, y, 1000, rng) == 1.0
 
+    @pytest.mark.parametrize("shots", [0, -3, 2.5, True])
+    def test_shots_below_one_rejected(self, shots):
+        x, rng = sc.basis_state(1), np.random.default_rng(0)
+        with pytest.raises(BadParameter):
+            algos.overlap_test(x, x, shots, rng)
+        with pytest.raises(BadParameter):
+            algos.dqc1_trace(np.eye(2), shots, rng)
+
 
 class TestMatrixProtocols:
     def _representable_matrix(self, n, t, rng):

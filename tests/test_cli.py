@@ -362,6 +362,74 @@ class TestRun:
             "6,0.0007157300677816564,0.0003480132207371922,"
             "0.0013191156521268183",
         ],
+        "bell-teleport": [
+            "# config_hash=3b4ad40ddd6d20d2",
+            "# experiment=bell-teleport",
+            "# seed=11",
+            "# version=0.1.0",
+            "m1,m2,fidelity",
+            *(
+                "1,0,1.0 1,0,1.0 0,0,1.0 0,1,1.0 0,1,1.0000000000000004 "
+                "1,1,1.0 1,1,1.0 1,1,1.0000000000000004 1,1,1.0 1,1,1.0 "
+                "0,1,1.0 0,1,1.0 1,0,1.0 0,1,1.0000000000000004 "
+                "1,1,1.0000000000000004 0,0,1.0 1,1,1.0 1,1,1.0 1,0,1.0 "
+                "0,1,1.0000000000000004 1,0,1.0000000000000004 "
+                "0,1,1.0000000000000004 0,1,0.9999999999999996 "
+                "1,0,1.0000000000000004 0,1,1.0 0,0,1.0 1,0,1.0 "
+                "1,0,1.0000000000000004 0,0,1.0 0,1,0.9999999999999998 "
+                "0,0,1.0 0,0,1.0 0,1,1.0000000000000004 "
+                "0,1,1.0000000000000004 0,0,0.9999999999999998 "
+                "0,1,1.0000000000000004 1,0,1.0 0,1,1.0000000000000004 "
+                "1,1,1.0000000000000004 1,0,1.0 0,0,1.0000000000000004 "
+                "0,1,1.0 0,0,1.0 0,1,1.0000000000000004 0,0,1.0 1,0,1.0 "
+                "1,1,1.0 0,0,1.0 1,1,1.0000000000000004 1,0,1.0 1,0,1.0 "
+                "1,1,1.0000000000000004 1,1,0.9999999999999998 0,1,1.0 "
+                "0,0,1.0 0,0,1.0 1,1,1.0000000000000004 0,1,1.0 "
+                "1,1,1.0000000000000004 1,0,1.0000000000000004 0,1,1.0 "
+                "1,0,1.0 1,1,1.0000000000000004 1,0,1.0 1,0,1.0 "
+                "1,0,1.0000000000000004 1,1,1.0 1,0,0.9999999999999996 "
+                "0,1,1.0 0,1,0.9999999999999998 0,1,1.0 "
+                "1,0,1.0000000000000004 1,0,1.0000000000000004 1,0,1.0 "
+                "0,1,1.0 1,1,1.0 1,0,1.0000000000000004 0,1,1.0 1,1,1.0 "
+                "1,1,1.0000000000000004 0,1,1.0000000000000004 "
+                "0,1,1.0000000000000009 0,0,1.0000000000000004 1,1,1.0 "
+                "1,0,1.0000000000000004 0,1,1.0 0,0,1.0 0,0,1.0 1,1,1.0 "
+                "1,1,1.0 1,0,1.0 0,0,0.9999999999999998 0,1,1.0 "
+                "1,1,0.9999999999999998 0,0,1.0 1,0,1.0 1,1,1.0 1,0,1.0 "
+                "1,1,1.0 0,1,1.0000000000000004"
+            ).split(),
+        ],
+        "dequant-inner": [
+            "# config_hash=700f3ed1facb9e53",
+            "# experiment=dequant-inner",
+            "# seed=11",
+            "# version=0.1.0",
+            "est_re,est_im,true_re,true_im,bound",
+            "-14.33206626590957,-4.065272238288661,"
+            "-14.384477265468158,-3.714773432160313,23.737560585926946",
+        ],
+        "dequant-vs-quantum": [
+            "# config_hash=fe05b75604a1e8aa",
+            "# experiment=dequant-vs-quantum",
+            "# seed=11",
+            "# version=0.1.0",
+            "method,resources,error",
+            "quantum-overlap,400,0.04565129989413763",
+            "quantum-overlap,1600,0.017187500000000015",
+            "quantum-overlap,6400,0.010422918855862362",
+            "dequant-inner,1026,0.007050847770144067",
+            "dequant-inner,4050,0.003951402108965737",
+            "dequant-inner,16200,0.0016354687702332194",
+        ],
+        "dqc1": [
+            "# config_hash=0d806d6e25fc2a63",
+            "# experiment=dqc1",
+            "# seed=11",
+            "# version=0.1.0",
+            "shots,est_re,est_im,true_re,true_im",
+            "20000,-0.1946000000000001,"
+            "0.011499999999999955,-0.18878992437612951,0.012544863911874322",
+        ],
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))

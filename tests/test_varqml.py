@@ -1,5 +1,6 @@
 """Variational algorithms: shift rules, VQE, QAOA, combinatorial mappings,
 Gibbs constructions, barren plateaus, adiabatic dynamics."""
+import collections
 import itertools
 import math
 
@@ -617,15 +618,6 @@ class TestQBoost:
                 vq.qboost_loss(H, y, q, lam, bits=B), abs=1e-10
             )
 
-    def test_annealer_finds_brute_force_optimum(self):
-        rng = np.random.default_rng(7)
-        H = rng.choice([-1.0, 1.0], size=(3, 12))
-        y = rng.choice([-1.0, 1.0], size=12)
-        Q, const = vq.qboost_objective(H, y, 0.05, bits=3)
-        _, best = vq.solve_qubo_brute_force(Q)
-        x, e = vq.simulated_annealing_qubo(Q, rng, sweeps=300)
-        assert e == pytest.approx(best, abs=1e-9)
-
 
 class TestGibbs:
     def test_pair_marginal(self):
@@ -830,6 +822,19 @@ class TestAdiabatic:
         assert i100 < i50 / 1.6  # doubling T at least halves, 20% slack
         _, f400 = vq.adiabatic_follow(H0, H1, 400)
         assert f400[-1] > 0.999
+
+    def test_schedule_called_once_per_check_point(self):
+        H0 = -sc.pauli_reconstruct([("XI", 1.0), ("IX", 1.0)], 2)
+        H1 = vq.IsingModel({(0, 1): 0.7}, np.array([0.3, -0.5])).hamiltonian()
+        calls = []
+
+        def schedule(s):
+            calls.append(s)
+            return s
+
+        vq.adiabatic_follow(H0, H1, 8.0, schedule)
+        counts = collections.Counter(calls)
+        assert [counts[s] for s in np.linspace(0, 1, 51)] == [1] * 51
 
 
 def at_default_and_half_step(monkeypatch, compute):
