@@ -2,6 +2,7 @@
 nearest-centroid classification, and the error-vs-resource comparison with
 the simulated overlap test."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -83,14 +84,17 @@ class TestSQVector:
             def random(self, size):
                 return self.u
 
-        # the cell edges j/K, the edges j/N of a table of N cells, where u N
-        # and j/N can round, and the prefix sums themselves
+        # the cell edges j/K of the table, the edges j/N of a table of N
+        # cells, where u N and j/N can round, and the prefix sums themselves;
+        # the last vector's prefix sums round to 1 + 2^-52 before its end
         for values in ([1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 2.0],
                        [0.0, 3.0, 0.0, 0.0, 1.0], [1.0], [1.0] * 6,
-                       [1.0] * 11):
+                       [1.0] * 11, [1.0, 2.0, 0.0, 0.0],
+                       [0.0] * 5 + [1.7487927705282176, 2.0,
+                                    2.504469600436428, 5.934211590639876e-09]):
             xs = dequant.SQVector(values)
             N = len(values)
-            K = 1 << (N - 1).bit_length()
+            K = xs._guide.size - 1
             edges = np.concatenate([np.arange(K) / K, np.arange(N) / N,
                                     xs._cum[:-1]])
             u = np.concatenate([edges, np.nextafter(edges, 1),
@@ -98,6 +102,23 @@ class TestSQVector:
             u = u[(u >= 0) & (u < 1)]
             want = np.searchsorted(xs._cum, u, side="right")
             assert np.array_equal(xs.sample(Fixed(u), u.size), want)
+
+    def test_draw_above_the_last_rounded_prefix_sum(self):
+        # the prefix sum at entry 38 rounds to 1 - 2^-52; the largest
+        # uniform lies above it and must still draw an entry of weight
+        class Top:
+            def random(self, size):
+                return np.full(size, 1 - 2**-53)
+
+        values = [1 / 3] * 39 + [0.0]
+        w = np.abs(np.asarray(values, dtype=complex)) ** 2
+        assert np.cumsum(w)[38] / np.sum(w) < 1
+        xs = dequant.SQVector(values)
+        assert xs.sample(Top(), 1)[0] == 38
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = dequant.estimator_samples(xs, np.ones(40), 1, Top())
+        assert np.isfinite(z).all()
 
     def test_size_none_is_the_first_draw(self):
         xs = dequant.SQVector(np.arange(1.0, 40.0))
@@ -184,6 +205,17 @@ class TestInnerEstimator:
         assert fails / 2000 <= 0.05
 
 
+def loop_inner(xs, y, cfg, rng):
+    """One median-of-means sketch in plain numpy, the kernel's reference:
+    b m draws, z = (y_i / x_i) ||x||^2 per draw, b bucket means and the
+    median of their real and imaginary parts."""
+    b, m = cfg.n_buckets, cfg.bucket_size
+    idx = xs.sample(rng, b * m)
+    z = (y[idx] / xs.values[idx] * xs.norm**2).reshape(b, m)
+    means = z.mean(axis=1)
+    return complex(np.median(means.real) + 1j * np.median(means.imag))
+
+
 def enumerated_ok(x, y):
     return dequant.enumerate_estimator_mean(x, y) == pytest.approx(
         np.vdot(x, y), abs=1e-10
@@ -233,6 +265,49 @@ class TestHarness:
             es = [r["error"] for r in rows if r["method"] == method]
             slope = dequant.loglog_slope(rs, es)
             assert slope == pytest.approx(-0.5, abs=0.1), method
+
+    @pytest.mark.parametrize("N", [1, 5, 64, 4096])
+    @pytest.mark.parametrize("trials", [1, 2, 300])
+    def test_rows_are_one_sketch_per_trial(self, N, trials):
+        # the shared kernel, its ratio table and its blocked medians give the
+        # bits of one plain-numpy sketch per trial on the same generator,
+        # and so do one-trial dequant_inner calls
+        cfgs = [dequant.EstimatorConfig(e, 0.1) for e in (0.8, 0.4)]
+        for seed in (0, 1, 2):
+            rng = np.random.default_rng(seed)
+            x = random_unit(N, rng)
+            y = random_unit(N, rng)
+            if N > 1:
+                x[1::3] = 0  # interior zeros, and a last zero at N = 5
+                x /= np.linalg.norm(x)
+            rows = dequant.quantum_vs_dequant_harness(
+                x, y, [], cfgs, np.random.default_rng(seed), trials=trials)
+            xs = dequant.SQVector(x)
+            truth = abs(np.vdot(x, y)) ** 2
+            ref_rng = np.random.default_rng(seed)
+            one_rng = np.random.default_rng(seed)
+            for row, cfg in zip(rows, cfgs):
+                errs = []
+                for _ in range(trials):
+                    est = loop_inner(xs, y, cfg, ref_rng)
+                    assert dequant.dequant_inner(xs, y, cfg, one_rng) == est
+                    errs.append(abs(abs(est) ** 2 - truth))
+                assert row["error"] == float(np.mean(errs))
+                assert row["resources"] == cfg.n_buckets * cfg.bucket_size
+            assert len(rows) == len(cfgs)
+
+    @pytest.mark.parametrize("trials", [0, -1, 1.5, True])
+    def test_bad_trials_rejected_before_any_draw(self, trials):
+        rng = np.random.default_rng(8)
+        state = rng.bit_generator.state
+        x = random_unit(4, np.random.default_rng(9))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BadParameter):
+                dequant.quantum_vs_dequant_harness(
+                    x, x, [100], [dequant.EstimatorConfig(0.4, 0.1)], rng,
+                    trials=trials)
+        assert rng.bit_generator.state == state
 
     def test_loglog_slope_exact_law(self):
         r = np.array([10.0, 100.0, 1000.0])
