@@ -241,7 +241,8 @@ def _exp_barren_sweep(rng, n_values=[2, 3, 4, 5, 6], ensemble=200):
     ]
 
 
-@experiment("landau-zener", eta_grid=Each(Num(0, False)))
+# the sweep takes about 14400 max(eta, 1/eta) steps: 2 s at eta = 0.01
+@experiment("landau-zener", eta_grid=Each(Num(0.01, True, 100)))
 def _exp_landau_zener(rng, eta_grid=[0.05, 0.1, 0.3, 0.6, 1.0, 1.5]):
     rows = []
     for eta in eta_grid:

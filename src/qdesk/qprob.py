@@ -52,7 +52,8 @@ def shannon_entropy(p, base: float = 2.0) -> float:
     """-sum p_i log p_i with 0 log 0 := 0."""
     p = check_prob_vector(p)
     p = p[p > 0]
-    return float(-np.sum(p * _log(p, base)))
+    # 0.0 - sum, not -sum: a certain outcome gives +0.0, never "-0.0"
+    return float(0.0 - np.sum(p * _log(p, base)))
 
 
 def relative_entropy(p, q, base: float = 2.0) -> float:
@@ -107,7 +108,7 @@ def von_neumann_entropy(rho, base: float = 2.0) -> float:
     rho = check_density_matrix(rho)
     lam = np.linalg.eigvalsh(rho)
     lam = lam[lam > EIG_CLIP]
-    return float(-np.sum(lam * _log(lam, base)))
+    return float(0.0 - np.sum(lam * _log(lam, base)))  # +0.0 when pure
 
 
 def quantum_relative_entropy(rho, eta, base: float = np.e) -> float:

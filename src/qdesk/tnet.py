@@ -238,77 +238,59 @@ def embed_sample(x, d: int = 2) -> list:
 
 @dataclass
 class ProjectorMPS:
-    """MPS-structured linear map from (C^d)^N to (C^d)^{floor(N/S)}.
-
-    Every S-th site carries an output leg of dimension d (core shape
-    (Dl, d_in, d, Dr)); the others are bond carriers (Dl, d_in, Dr). The
+    """MPS-structured linear map from (C^d)^N to (C^d)^{#outputs}, given
+    by its cores alone: (Dl, d_in, d, Dr) carries an output leg and
+    (Dl, d_in, Dr) is a bond carrier. With outputs on every S-th site the
     rank is at most d^{floor(N/S)}, so the kernel has at least
     d^N - d^{floor(N/S)} >= d^{N - floor(N/S)} dimensions."""
 
     cores: list
-    S: int
-    d: int
 
     @property
     def n_sites(self) -> int:
         return len(self.cores)
 
-    def output_sites(self) -> list:
-        return [p for p in range(self.n_sites) if (p + 1) % self.S == 0]
+    @property
+    def d(self) -> int:
+        return self.cores[0].shape[1]
 
     def apply(self, features, return_ops: bool = False):
         """Contract the input legs with per-site feature vectors; returns
-        an MPS over the output legs."""
-        ctr = OpCounter()
+        an MPS over the output legs. Carriers fold into the next output
+        core, trailing ones into the last (1 x 1 x 1 if there is none)."""
         out_cores = []
-        pending = None  # accumulated bond matrix to absorb into next output core
-        for p, (core, phi) in enumerate(zip(self.cores, features)):
-            if core.ndim == 4:
-                A = np.tensordot(core, phi, axes=(1, 0))  # (Dl, d_out, Dr)
-                ctr.ops += core.shape[0] * core.shape[1] * core.shape[2] \
-                    * core.shape[3]
-                if pending is not None:
-                    Dl, dout, Dr = A.shape
-                    A = ctr.matmul(pending, A.reshape(Dl, dout * Dr)) \
-                        .reshape(pending.shape[0], dout, Dr)
-                    pending = None
+        carry = None  # product of the carriers since the last output core
+        ops = 0
+        for core, phi in zip(self.cores, features):
+            A = np.tensordot(core, phi, axes=(1, 0))  # (Dl, [d_out,] Dr)
+            ops += core.size
+            if carry is not None:
+                ops += carry.shape[0] * A.size
+                A = (carry @ A.reshape(len(A), -1)).reshape(-1, *A.shape[1:])
+            if A.ndim == 3:
                 out_cores.append(A)
-            else:
-                Mmat = np.tensordot(core, phi, axes=(1, 0))  # (Dl, Dr)
-                ctr.ops += core.shape[0] * core.shape[1] * core.shape[2]
-                pending = Mmat if pending is None else ctr.matmul(
-                    pending, Mmat
-                )
-        if pending is not None:
-            if out_cores:
-                A = out_cores[-1]
-                Dl, dout, Dr = A.shape
-                A = np.tensordot(A, pending, axes=(2, 0))
-                ctr.ops += Dl * dout * Dr * pending.shape[1]
-                out_cores[-1] = A
-            else:
-                out_cores = [pending.reshape(1, 1, 1)]
+            carry = A if A.ndim == 2 else None
+        if carry is not None and out_cores:
+            ops += out_cores[-1].size * carry.shape[1]
+            out_cores[-1] = np.tensordot(out_cores[-1], carry, axes=(2, 0))
+        elif carry is not None:
+            out_cores = [carry.reshape(1, 1, 1)]
         mps = MPS(out_cores)
-        return (mps, ctr.ops) if return_ops else mps
+        return (mps, ops) if return_ops else mps
+
 
 def projector_to_dense(model: ProjectorMPS) -> np.ndarray:
-    """Dense matrix of the projector map, input index big-endian over
-    sites (small N only)."""
-    N = model.n_sites
-    d = model.d
-    n_out = len(model.output_sites())
-    M = np.empty((d ** max(n_out, 0), d ** N), dtype=complex)
-    for idx in range(d ** N):
-        digits = []
-        v = idx
-        for _ in range(N):
-            digits.append(v % d)
-            v //= d
-        digits = digits[::-1]
-        feats = [np.eye(d)[g].astype(complex) for g in digits]
-        out = model.apply(feats).to_dense().ravel()
-        M[:, idx] = out if out.size == M.shape[0] else out[:M.shape[0]]
-    return M
+    """Dense (d^{#outputs}, d^N) matrix of the projector map, indices
+    big-endian over sites (small N only): the cores contracted over their
+    bonds, output legs moved ahead of the input legs."""
+    T = np.ones(1)
+    ins, outs = [], []
+    for core in model.cores:
+        ins.append(T.ndim - 1)
+        if core.ndim == 4:
+            outs.append(T.ndim)
+        T = np.tensordot(T, core, axes=(-1, 0))
+    return T[..., 0].transpose(outs + ins).reshape(model.d ** len(outs), -1)
 
 
 def projector_frobenius(model: ProjectorMPS) -> float:
@@ -341,7 +323,7 @@ def _random_projector(N: int, S: int, d: int, D: int,
         else:
             cores.append(rng.normal(scale=0.5, size=(left, d, right)) + 0j)
         left = right
-    return ProjectorMPS(cores, S, d)
+    return ProjectorMPS(cores)
 
 
 def _flatten(cores):
@@ -476,4 +458,4 @@ def anomaly_fit(train, S: int, alpha: float, d: int = 2, D: int = 2,
         if not accepted:
             break
     cores = [c.astype(complex) for c in _unflatten(theta, template)]
-    return ProjectorMPS(cores, S, d), history
+    return ProjectorMPS(cores), history

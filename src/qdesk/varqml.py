@@ -845,7 +845,7 @@ def landau_zener(alpha: float, Delta: float) -> float:
     [-T0, T0] from the instantaneous ground state and return the
     probability of a non-adiabatic transition.
 
-    T0 = 60 * max(D/a, 1/D, 1/sqrt(a)). The sweep is one interval
+    T0 = 60 * max(|D|/a, 1/|D|, 1/sqrt(a)). The sweep is one interval
     of solve_ivp, whose change rule never binds on this linear ramp, so it
     takes ceil(2 T0 |H(T0)| / 0.25) Magnus steps, |H(T0)| = hypot(a T0/2, D):
     no step turns the phase by more than a quarter radian at the ends, where
@@ -857,7 +857,7 @@ def landau_zener(alpha: float, Delta: float) -> float:
                            f"Delta={Delta!r}")
     if Delta == 0.0:
         return 1.0
-    t_char = max(Delta / alpha, 1 / Delta, 1 / np.sqrt(alpha))
+    t_char = max(abs(Delta) / alpha, 1 / abs(Delta), 1 / np.sqrt(alpha))
     T0 = 60.0 * t_char
 
     def hamiltonian(t):

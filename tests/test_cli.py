@@ -201,6 +201,9 @@ class TestParamBoundary:
          "colors^vertices = 5^23 is more than 2^53"),
         ("colorings", {"edges": [[0, 1]], "vertices": 26, "colors": 26},
          "colors^vertices = 26^26 is more than 2^53"),
+        # one sweep takes about 14400 max(eta, 1/eta) steps
+        ("landau-zener", {"eta_grid": [1.0, 0.009]}, "eta_grid value 0.009"),
+        ("landau-zener", {"eta_grid": [100]}, "eta_grid value 100"),
     ]
 
     @pytest.mark.parametrize("name,params,message", BAD)
@@ -252,6 +255,7 @@ class TestParamBoundary:
         ("qaoa-maxcut", {"p": 16, "restarts": 100}),
         ("colorings", {"colors": 26}),
         ("colorings", {"vertices": 26, "colors": 4}),  # 4^26 = 2^52
+        ("landau-zener", {"eta_grid": [0.01, 99.99]}),
     ])
     def test_boundary_values_pass(self, name, params, tmp_path):
         path, _ = write_cfg(tmp_path, experiment=name, params=params)

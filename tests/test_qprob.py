@@ -3,6 +3,8 @@
 Frozen oracle values were computed independently (closed forms or direct
 eigendecompositions) before the implementations were written.
 """
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,11 @@ class TestShannon:
 
     def test_zero_components_ignored(self):
         assert qprob.shannon_entropy([1.0, 0.0, 0.0]) == 0.0
+
+    def test_certain_outcome_is_plus_zero(self):
+        # == 0.0 holds for -0.0 too; the sign shows in `qdesk run` output
+        for p in ([1.0], [0.0, 1.0, 0.0]):
+            assert math.copysign(1.0, qprob.shannon_entropy(p)) == 1.0
 
     def test_nats(self):
         assert qprob.shannon_entropy([0.5, 0.5], base=np.e) == \
@@ -106,6 +113,10 @@ class TestVonNeumann:
         psi = np.array([1, 1j]) / np.sqrt(2)
         rho = np.outer(psi, psi.conj())
         assert qprob.von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-10)
+
+    def test_basis_state_is_plus_zero(self):
+        rho = np.diag([1.0, 0.0]).astype(complex)
+        assert math.copysign(1.0, qprob.von_neumann_entropy(rho)) == 1.0
 
     def test_maximally_mixed(self):
         assert qprob.von_neumann_entropy(np.eye(4) / 4) == pytest.approx(2.0)

@@ -1,5 +1,7 @@
 """MPS compression, contraction schedules and operation counts, graph
 colorings by tensor contraction, and the projector-MPS anomaly score."""
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -238,6 +240,52 @@ class TestProjector:
             np.linalg.norm(P @ phi), abs=1e-10
         )
 
+    @pytest.mark.parametrize("N", range(1, 6))
+    def test_dense_matches_apply_on_basis_vectors(self, N):
+        # S = N + 1 leaves no output site; S = 2 at odd N and S = 3 at
+        # N = 4, 5 end in a run of carriers
+        rng = np.random.default_rng(60 + N)
+        for S in sorted({1, 2, 3, N + 1}):
+            for d in (2, 3):
+                for make in (tnet._random_projector, complex_projector):
+                    model = make(N, S, d, 2, rng)
+                    P = tnet.projector_to_dense(model)
+                    cols = [model.apply(list(np.eye(d)[list(digits)]))
+                            .to_dense().ravel()
+                            for digits in itertools.product(range(d),
+                                                            repeat=N)]
+                    assert P.shape == (d ** (N // S), d ** N)
+                    assert np.abs(P - np.array(cols).T).max() < 1e-12
+
+    def test_dense_oracle_contracts_the_cores_itself(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ProjectorMPS.apply called")
+
+        model = tnet._random_projector(5, 2, 3, 2, np.random.default_rng(61))
+        monkeypatch.setattr(tnet.ProjectorMPS, "apply", refuse)
+        assert tnet.projector_to_dense(model).shape == (9, 243)
+
+    def test_model_is_its_cores(self):
+        # a model given to anomaly_fit keeps its own output sites whatever
+        # S says, and the dense oracle reads them from the cores too
+        assert [f.name for f in dataclasses.fields(tnet.ProjectorMPS)] == \
+            ["cores"]
+        rng = np.random.default_rng(62)
+        start = tnet._random_projector(4, 2, 2, 2, rng)
+        train = [rng.uniform(-1, 1, size=4) for _ in range(3)]
+        model, _ = tnet.anomaly_fit(train, S=4, alpha=0.05, steps=0,
+                                    model=start)
+        assert [c.ndim for c in model.cores] == [3, 4, 3, 4]
+        assert model.d == 2
+        P = tnet.projector_to_dense(model)
+        assert P.shape == (4, 16)
+        for x in train:
+            phi = np.ones(1)
+            for f in tnet.embed_sample(x, 2):
+                phi = np.kron(phi, f)
+            assert np.linalg.norm(P @ phi) == pytest.approx(
+                tnet.anomaly_score(model, x), abs=1e-12)
+
     def test_length_mismatch(self):
         model = tnet._random_projector(4, 2, 2, 2, np.random.default_rng(0))
         with pytest.raises(DimensionMismatch):
@@ -338,7 +386,7 @@ class TestBatchedLoss:
 
         def loss(vec):
             model = tnet.ProjectorMPS(
-                [c + 0j for c in tnet._unflatten(vec, start.cores)], 2, 2)
+                [c + 0j for c in tnet._unflatten(vec, start.cores)])
             dev = [abs(math.log(tnet.anomaly_score(model, x) ** 2) - 1.0)
                    for x in train]
             return np.mean(dev) + 0.05 * math.log(

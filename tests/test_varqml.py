@@ -812,6 +812,28 @@ class TestAdiabatic:
             ref = np.exp(-2 * np.pi * eta)
             assert abs(p - ref) / ref < 0.05
 
+    def test_landau_zener_even_in_delta(self, monkeypatch):
+        # the sweep window is sized from |Delta|, so the sign of the
+        # coupling changes nothing
+        for Delta in (0.2, 0.5):
+            p = vq.landau_zener(1.0, Delta)
+            assert vq.landau_zener(1.0, -Delta) == pytest.approx(p, abs=1e-12)
+            assert p == pytest.approx(np.exp(-2 * np.pi * Delta**2), abs=5e-7)
+        # one sweep at Delta = 0.05 takes 5.8e6 steps (about 8 s), so there
+        # the windows alone are compared
+        windows = []
+
+        def window_only(hamiltonian, t_grid, psi0):
+            windows.append(list(t_grid))
+            return vq.Propagation(np.array([psi0, psi0]), 0)
+
+        with monkeypatch.context() as m:
+            m.setattr(vq, "solve_ivp", window_only)
+            for Delta in (0.05, -0.05, 0.2, -0.2, 0.5, -0.5):
+                vq.landau_zener(1.0, Delta)
+        assert windows[0::2] == windows[1::2]
+        assert windows[0] == [-1200.0, 1200.0]
+
     def test_follow_converges_with_T(self):
         H0 = -(sc.expand_gate(sc.X, [0], 2) + sc.expand_gate(sc.X, [1], 2))
         H1 = vq.IsingModel({(0, 1): 0.7},
