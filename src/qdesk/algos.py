@@ -12,17 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simcore as sc
-from .errors import (
-    AllSolutions,
-    BadParameter,
-    DimensionMismatch,
-    NoSolutions,
-    NotAnEigenvector,
-    NotHermitian,
-    PostselectionImpossible,
-    SingularMatrix,
-    _check_counts,
-)
+from .errors import BadParameter, DimensionMismatch, _check_counts
 
 # --- Bell states and teleportation ---------------------------------------
 
@@ -32,7 +22,7 @@ _BELL_VARIANTS = ("phi+", "phi-", "psi+", "psi-")
 def bell_prepare(variant: str = "phi+") -> np.ndarray:
     """H on qubit 0, CNOT 0->1, then optional trailing X/Z."""
     if variant not in _BELL_VARIANTS:
-        raise ValueError(f"unknown Bell variant {variant!r}")
+        raise BadParameter(f"unknown Bell variant {variant!r}")
     psi = sc.basis_state(2)
     psi = sc.apply_gate(psi, sc.H, [0])
     psi = sc.apply_gate(psi, sc.CNOT, [0, 1])
@@ -184,7 +174,7 @@ def phase_estimate(U: np.ndarray, eigvec: np.ndarray, t_bits: int,
     w = U @ eigvec
     phase = np.vdot(eigvec, w)
     if np.linalg.norm(w - phase * eigvec) > 1e-8:
-        raise NotAnEigenvector("state is not an eigenvector of U")
+        raise BadParameter("state is not an eigenvector of U")
     phi = float(np.angle(phase) / (2 * np.pi)) % 1.0
     n_anc = qpe_ancilla_bits(t_bits, epsilon)
     probs = np.abs(qpe_register_amplitudes(phi, n_anc)) ** 2
@@ -225,9 +215,9 @@ def grover(f, n: int):
     marked = np.array([bool(f(x)) for x in range(N)])
     M = int(marked.sum())
     if M == 0:
-        raise NoSolutions("oracle marks nothing")
+        raise BadParameter("oracle marks nothing")
     if M == N:
-        raise AllSolutions("oracle marks everything")
+        raise BadParameter("oracle marks everything")
     theta = 2 * np.arcsin(np.sqrt(M / N))
     R = int(np.floor((np.pi / 4) * np.sqrt(N / M)))
     closed = float(np.sin((2 * R + 1) * theta / 2) ** 2)
@@ -318,7 +308,7 @@ def _qpe_eigen_filter(A: np.ndarray, x: np.ndarray, f, t_bits: int):
     (state, p_acc, eigenvalues).
     """
     if not np.allclose(A, A.conj().T, atol=1e-10):
-        raise NotHermitian("protocol expects a Hermitian matrix")
+        raise BadParameter("protocol expects a Hermitian matrix")
     lam, V = np.linalg.eigh(A)
     if lam.min() <= 0 or lam.max() >= 1:
         raise BadParameter(f"eigenvalues must lie in (0, 1), got "
@@ -329,7 +319,7 @@ def _qpe_eigen_filter(A: np.ndarray, x: np.ndarray, f, t_bits: int):
     out_eig = c * (probs @ f(np.arange(dim) / dim))
     p_acc = float(np.sum(np.abs(out_eig) ** 2))
     if p_acc < 1e-12:
-        raise PostselectionImpossible("acceptance probability vanishes")
+        raise BadParameter("acceptance probability vanishes")
     out = V @ out_eig
     return out / np.linalg.norm(out), p_acc, lam
 
@@ -366,9 +356,9 @@ def qpe_matrix_invert(A: np.ndarray, x: np.ndarray, C: float,
 
     out, p_acc, lam = _qpe_eigen_filter(A, x, f, t_bits)
     if lam.min() < 1e-14:
-        raise SingularMatrix("A is singular")
+        raise BadParameter("A is singular")
     if C > lam.min() + 1e-12:
-        raise ValueError("C must not exceed the smallest eigenvalue")
+        raise BadParameter("C must not exceed the smallest eigenvalue")
     return out, p_acc, _phase_aligned_distance(out, np.linalg.solve(A, x))
 
 
@@ -416,7 +406,7 @@ def _lcu_parts(alphas, unitaries):
     """
     alphas = np.asarray(alphas, dtype=float)
     if np.any(alphas <= 0):
-        raise ValueError("alphas must be positive")
+        raise BadParameter("alphas must be positive")
     L = len(unitaries)
     dim = unitaries[0].shape[0]
     for U in unitaries:

@@ -381,7 +381,7 @@ def _cross_errors(name: str, p: dict) -> list:
     if name == "entropy":
         try:
             qprob.check_prob_vector(p["p"])
-        except ValueError as exc:
+        except BadParameter as exc:
             return [f"p: {exc}"]
     if name == "grover":
         errors = [f"marked value {v!r} is not below 2^n = {2**p['n']}"
@@ -434,12 +434,14 @@ def resolve_params(name: str, params: dict) -> tuple:
     return resolved, errors
 
 
-def validate_config(cfg: dict) -> list:
-    """Diagnostics for a parsed config; errors start with 'error:'."""
-    diags = []
+def _check_config(cfg: dict) -> tuple:
+    """(diags, params): diagnostics for a parsed config, errors starting
+    with 'error:', and the resolved params when the experiment is known
+    and params is an object."""
+    diags, resolved = [], None
     known = {"experiment", "params", "seed", "out", "format"}
     if not isinstance(cfg, dict):
-        return ["error: config must be a JSON object"]
+        return ["error: config must be a JSON object"], None
     for key in cfg:
         if key not in known:
             diags.append(f"warning: unknown key {key!r}")
@@ -458,9 +460,14 @@ def validate_config(cfg: dict) -> list:
     if not isinstance(params, dict):
         diags.append("error: params must be a JSON object")
     elif known_name:
-        diags += [f"error: {name}: {e}"
-                  for e in resolve_params(name, params)[1]]
-    return diags
+        resolved, errors = resolve_params(name, params)
+        diags += [f"error: {name}: {e}" for e in errors]
+    return diags, resolved
+
+
+def validate_config(cfg: dict) -> list:
+    """Diagnostics for a parsed config; errors start with 'error:'."""
+    return _check_config(cfg)[0]
 
 
 def _config_hash(cfg: dict) -> str:
@@ -472,11 +479,12 @@ def _config_hash(cfg: dict) -> str:
 def run_config(cfg: dict, out_path: str | None = None) -> str:
     """Execute one experiment and write the result table; returns the
     serialized output. Raises BadParameter, before the experiment runs,
-    when a param is unknown or breaks its rule."""
-    name = cfg["experiment"]
-    params, errors = resolve_params(name, cfg.get("params", {}))
+    with the errors `validate_config` reports; its warnings pass."""
+    diags, params = _check_config(cfg)
+    errors = [d[len("error: "):] for d in diags if d.startswith("error:")]
     if errors:
-        raise BadParameter(f"{name}: " + "; ".join(errors))
+        raise BadParameter("; ".join(errors))
+    name = cfg["experiment"]
     rng = np.random.default_rng(cfg["seed"])
     columns, rows = EXPERIMENTS[name](rng, **params)
     meta = {"experiment": name, "seed": cfg["seed"],

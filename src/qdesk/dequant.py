@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import algos
-from .errors import (BadParameter, EmptyClass, LengthMismatch, ZeroVector,
-                     _check_counts)
+from .errors import BadParameter, DimensionMismatch, _check_counts
 
 _GUIDE_CELLS = 4  # K = 4 * 2^ceil(log2 N) guide cells; 16x was slower
 _MEDIAN_BLOCK = 256  # sketches whose bucket means share one np.median call
@@ -43,11 +42,11 @@ class SQVector:
     def __init__(self, values):
         values = np.asarray(values, dtype=complex)
         if values.ndim != 1 or not values.size:
-            raise ZeroVector("need a nonempty 1-d vector")
+            raise BadParameter("need a nonempty 1-d vector")
         weights = np.abs(values) ** 2
         nrm2 = float(np.sum(weights))
         if nrm2 == 0.0:
-            raise ZeroVector("cannot sample from the zero vector")
+            raise BadParameter("cannot sample from the zero vector")
         if not math.isfinite(nrm2):
             raise BadParameter("the squared norm of the vector is not finite")
         self.values = values
@@ -121,7 +120,8 @@ class EstimatorConfig:
 
     @property
     def bucket_size(self) -> int:
-        return math.ceil(SIZE_FACTOR / self.epsilon**2)
+        # every eps >= 3 gives m = 1; the cap keeps eps^2 from overflowing
+        return math.ceil(SIZE_FACTOR / min(self.epsilon, 3.0)**2)
 
 
 def _ratios(xs: SQVector, y) -> np.ndarray:
@@ -129,7 +129,7 @@ def _ratios(xs: SQVector, y) -> np.ndarray:
     0 where x_i = 0, since such an i is never drawn."""
     y = np.asarray(y, dtype=complex)
     if y.size != len(xs):
-        raise LengthMismatch("vector lengths differ")
+        raise DimensionMismatch("vector lengths differ")
     r = np.divide(y, xs.values, out=np.zeros(len(xs), dtype=complex),
                   where=xs.values != 0)
     r *= xs.norm**2
@@ -212,14 +212,14 @@ def nearest_centroid(train_X, train_y, test_x, cfg=None,
     test_x = np.asarray(test_x, dtype=complex)
     labels = sorted(set(train_y))
     if not labels:
-        raise EmptyClass("no training data")
+        raise BadParameter("no training data")
     xs = SQVector(test_x) if cfg is not None else None
     best_label, best_d = None, np.inf
     for lab in labels:
         members = [np.asarray(v, dtype=complex)
                    for v, l in zip(train_X, train_y) if l == lab]
         if not members:
-            raise EmptyClass(f"class {lab!r} has no members")
+            raise BadParameter(f"class {lab!r} has no members")
         c = np.mean(members, axis=0)
         if cfg is None:
             cross = np.vdot(test_x, c)

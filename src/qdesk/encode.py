@@ -13,13 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import simcore as sc
-from .errors import (
-    AliasedSpectrum,
-    BadLength,
-    DuplicateSample,
-    UnsupportedKind,
-    ZeroVector,
-)
+from .errors import BadParameter, DimensionMismatch
 
 
 @dataclass(frozen=True)
@@ -36,9 +30,9 @@ def basis_encode(samples) -> np.ndarray:
     samples = [tuple(int(b) & 1 for b in s) for s in samples]
     width = len(samples[0])
     if any(len(s) != width for s in samples):
-        raise BadLength("samples differ in length")
+        raise DimensionMismatch("samples differ in length")
     if len(set(samples)) != len(samples):
-        raise DuplicateSample("duplicate sample")
+        raise BadParameter("duplicate sample")
     psi = np.zeros(2**width, dtype=complex)
     for s in samples:
         idx = int("".join(map(str, s)), 2)
@@ -59,9 +53,9 @@ def amplitude_encode(vectors) -> np.ndarray:
     N = vectors[0].size
     for v in vectors:
         if v.size != N:
-            raise BadLength("vectors differ in length")
+            raise DimensionMismatch("vectors differ in length")
         if np.linalg.norm(v) < 1e-14:
-            raise ZeroVector("zero vector cannot be amplitude encoded")
+            raise BadParameter("zero vector cannot be amplitude encoded")
     n_j = max(1, math.ceil(math.log2(N)))
     n_m = max(0, math.ceil(math.log2(M))) if M > 1 else 0
     out = np.zeros(2 ** (n_j + n_m), dtype=complex)
@@ -77,7 +71,7 @@ def amplitude_encode_with_norm(x) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     nrm = np.linalg.norm(x)
     if nrm < 1e-14:
-        raise ZeroVector("zero vector")
+        raise BadParameter("zero vector")
     scale = max(nrm, 1.0)
     x = x / scale
     out = np.concatenate([x, [np.sqrt(max(0.0, 1.0 - np.linalg.norm(x) ** 2))]])
@@ -89,9 +83,9 @@ def qsample_encode(p) -> np.ndarray:
     """Amplitudes sqrt(p_j); computational-basis measurement samples p."""
     p = np.asarray(p, dtype=float)
     if p.size & (p.size - 1):
-        raise BadLength("length must be a power of two")
+        raise DimensionMismatch("length must be a power of two")
     if np.any(p < 0) or abs(p.sum() - 1) > 1e-12:
-        raise ValueError("not a probability vector")
+        raise BadParameter("not a probability vector")
     return np.sqrt(p).astype(complex)
 
 
@@ -126,9 +120,9 @@ def _z_weights(spec: EncodingSpec) -> list:
         return [1.0]
     if spec.kind == "exponential":
         if spec.params.get("l", 3) != 3:
-            raise UnsupportedKind("exponential encoding ships with l = 3")
+            raise BadParameter("exponential encoding ships with l = 3")
         return [3.0 ** j for j in range(spec.params["N"])]
-    raise UnsupportedKind(f"{spec.kind!r} is not a Hamiltonian-type encoding")
+    raise BadParameter(f"{spec.kind!r} is not a Hamiltonian-type encoding")
 
 
 def generator_eigenvalues(spec: EncodingSpec) -> np.ndarray:
@@ -165,7 +159,7 @@ def _sampled_spectrum(model, omegas, oversample: int):
     omegas = np.asarray(omegas)
     ints = np.round(omegas).astype(int)
     if ints.size and np.abs(omegas - ints).max() > 1e-9:
-        raise ValueError("spectrum must be integer-valued for DFT fitting")
+        raise BadParameter("spectrum must be integer-valued for DFT fitting")
     wmax = int(np.abs(ints).max()) if ints.size else 0
     K = 2 * oversample * max(wmax, 1) + 1
     xs = 2 * np.pi * np.arange(K) / K
@@ -179,7 +173,7 @@ def fit_fourier_coefficients(model, omegas) -> dict:
     """Fit f(x) = sum_w c_w e^{iwx} on an integer spectrum.
 
     Samples the 2*pi-periodic model at K = 4*max(Omega) + 1 (oversampling
-    2) equispaced points and inverts the DFT. Raises AliasedSpectrum when the
+    2) equispaced points and inverts the DFT. Raises BadParameter when the
     off-spectrum residual power exceeds 1e-8 (the model has frequencies the
     sampling grid cannot separate from Omega).
     """
@@ -187,7 +181,7 @@ def fit_fourier_coefficients(model, omegas) -> dict:
     coeffs = {int(w): complex(c) for w, c in all_c.items() if w in ints}
     off_power = sum(abs(c) ** 2 for w, c in all_c.items() if w not in ints)
     if off_power > 1e-8:
-        raise AliasedSpectrum(
+        raise BadParameter(
             f"off-spectrum power {off_power:.3e} exceeds tolerance"
         )
     return coeffs
@@ -211,7 +205,7 @@ def encoding_model(spec: EncodingSpec, trainables, observable,
     """
     gates = [np.asarray(W, dtype=complex) for W in trainables]
     if len(gates) != layers * _layer_reps(spec) + 1:
-        raise BadLength(
+        raise DimensionMismatch(
             f"need {layers * _layer_reps(spec) + 1} trainable blocks"
         )
 

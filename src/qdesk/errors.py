@@ -1,4 +1,7 @@
-"""Shared exception types, and the check of count parameters."""
+"""The exception types, and the check of count parameters.
+
+Every argument qdesk rejects raises BadParameter, or one of its two
+subclasses; IntegratorDiverged is a numerical failure, not bad input."""
 import numbers
 
 
@@ -6,72 +9,21 @@ class QdeskError(Exception):
     pass
 
 
-class DimensionMismatch(QdeskError, ValueError):
-    pass
-
-
-class LengthMismatch(DimensionMismatch):
-    pass
-
-
-class TargetOutOfRange(QdeskError, IndexError):
-    pass
-
-
-class NotHermitian(QdeskError, ValueError):
-    pass
-
-
-class NotTracePreserving(QdeskError, ValueError):
-    pass
-
-
-class InfiniteDivergence(QdeskError, ValueError):
-    """Relative entropy is +inf: support of p not contained in support of q."""
-
-
-class ZeroProbabilityBranch(QdeskError, ValueError):
-    pass
-
-
-class OutsideBlochBall(QdeskError, ValueError):
-    pass
-
-
-class NotAnEigenvector(QdeskError, ValueError):
-    pass
-
-
-class NoSolutions(QdeskError, ValueError):
-    pass
-
-
-class AllSolutions(QdeskError, ValueError):
-    pass
-
-
-class SingularMatrix(QdeskError, ValueError):
-    pass
-
-
-class PostselectionImpossible(QdeskError, ValueError):
-    pass
-
-
-class ZeroVector(QdeskError, ValueError):
-    pass
-
-
-class DuplicateSample(QdeskError, ValueError):
-    pass
-
-
-class BadLength(QdeskError, ValueError):
-    pass
-
-
 class BadParameter(QdeskError, ValueError):
-    """A parameter that is missing, not finite, or outside its range."""
+    """An argument qdesk rejects: missing, not finite, outside its range,
+    or breaking a rule it must satisfy."""
+
+
+class DimensionMismatch(BadParameter):
+    """A shape or length that does not fit."""
+
+
+class TargetOutOfRange(BadParameter, IndexError):
+    """A qubit or layer index outside the register."""
+
+
+class IntegratorDiverged(QdeskError, RuntimeError):
+    pass
 
 
 def _check_counts(**counts):
@@ -80,31 +32,3 @@ def _check_counts(**counts):
         if isinstance(v, bool) or not isinstance(v, numbers.Integral) \
                 or v < 1:
             raise BadParameter(f"{name} must be an integer >= 1, got {v!r}")
-
-
-class UnsupportedKind(QdeskError, ValueError):
-    pass
-
-
-class AliasedSpectrum(QdeskError, ValueError):
-    pass
-
-
-class UnsupportedGenerator(QdeskError, ValueError):
-    pass
-
-
-class IncompleteProjectors(QdeskError, ValueError):
-    pass
-
-
-class SingularSystem(QdeskError, ValueError):
-    pass
-
-
-class EmptyClass(QdeskError, ValueError):
-    pass
-
-
-class IntegratorDiverged(QdeskError, RuntimeError):
-    pass

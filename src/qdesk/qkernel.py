@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import encode
-from .errors import DimensionMismatch, SingularMatrix, SingularSystem
+from .errors import BadParameter, DimensionMismatch
 
 PINV_CUTOFF = 1e-10
 
@@ -33,7 +33,7 @@ def encoding_state(spec: encode.EncodingSpec, x) -> np.ndarray:
         return encode.phase_state(x)
     if spec.kind == "qsample":
         return encode.qsample_encode(x)
-    raise ValueError(f"no state encoding for kind {spec.kind!r}")
+    raise BadParameter(f"no state encoding for kind {spec.kind!r}")
 
 
 def quantum_kernel(x, y, spec: encode.EncodingSpec) -> float:
@@ -62,9 +62,9 @@ class GramMatrix:
     def __post_init__(self):
         K = np.asarray(self.K, dtype=float)
         if not np.allclose(K, K.T, atol=1e-10):
-            raise ValueError("Gram matrix not symmetric")
+            raise BadParameter("Gram matrix not symmetric")
         if np.linalg.eigvalsh(K).min() < -1e-8:
-            raise ValueError("Gram matrix not positive semidefinite")
+            raise BadParameter("Gram matrix not positive semidefinite")
         self.K = K
 
 
@@ -97,19 +97,19 @@ def kernel_fit(gm: GramMatrix, y, lam: float, X=None) -> KernelModel:
     solved by a = (K + lam M I)^{-1} y.
 
     At lam = 0 with a rank-deficient K the solve falls back to the
-    pseudoinverse; labels outside the range of K raise SingularSystem."""
+    pseudoinverse; labels outside the range of K raise BadParameter."""
     K = gm.K
     y = np.asarray(y, dtype=float)
     M = K.shape[0]
     if y.size != M:
         raise DimensionMismatch("labels do not match Gram size")
     if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+        raise BadParameter("lambda must be nonnegative")
     if lam == 0:
         Kinv = _pinv(K)
         a = Kinv @ y
         if np.linalg.norm(K @ a - y) > 1e-6 * max(1.0, np.linalg.norm(y)):
-            raise SingularSystem(
+            raise BadParameter(
                 "K is rank deficient and y lies outside its range"
             )
     else:
@@ -146,7 +146,7 @@ def geometric_difference(K1, K2) -> float:
     K2 = K2.K if isinstance(K2, GramMatrix) else np.asarray(K2, dtype=float)
     w1 = np.linalg.eigvalsh(K1)
     if w1.min() < PINV_CUTOFF * w1.max():
-        raise SingularMatrix("K1 is numerically singular")
+        raise BadParameter("K1 is numerically singular")
     w2, V2 = np.linalg.eigh(K2)
     sq2 = (V2 * np.sqrt(np.clip(w2, 0, None))) @ V2.T
     mid = sq2 @ np.linalg.inv(K1) @ sq2

@@ -12,13 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import simcore as sc
-from .errors import (
-    DimensionMismatch,
-    InfiniteDivergence,
-    LengthMismatch,
-    OutsideBlochBall,
-    ZeroProbabilityBranch,
-)
+from .errors import BadParameter, DimensionMismatch
 
 EIG_CLIP = 1e-14  # spectral floor before taking logs
 MAJ_TOL = 1e-12
@@ -27,20 +21,20 @@ MAJ_TOL = 1e-12
 def check_prob_vector(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if np.any(p < -1e-12):
-        raise ValueError("negative probability component")
+        raise BadParameter("negative probability component")
     if abs(p.sum() - 1.0) > 1e-12:
-        raise ValueError(f"probabilities sum to {p.sum()}, not 1")
+        raise BadParameter(f"probabilities sum to {p.sum()}, not 1")
     return np.clip(p, 0.0, None)
 
 
 def check_density_matrix(rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if not np.allclose(rho, rho.conj().T, atol=1e-12):
-        raise ValueError("density matrix not Hermitian")
+        raise BadParameter("density matrix not Hermitian")
     if abs(np.trace(rho).real - 1.0) > 1e-12:
-        raise ValueError("density matrix trace != 1")
+        raise BadParameter("density matrix trace != 1")
     if np.linalg.eigvalsh(rho).min() < -1e-10:
-        raise ValueError("density matrix not PSD")
+        raise BadParameter("density matrix not PSD")
     return rho
 
 
@@ -60,10 +54,10 @@ def relative_entropy(p, q, base: float = 2.0) -> float:
     """S(p||q) = sum p_i log(p_i / q_i)."""
     p, q = check_prob_vector(p), check_prob_vector(q)
     if p.shape != q.shape:
-        raise LengthMismatch("p and q differ in length")
+        raise DimensionMismatch("p and q differ in length")
     mask = p > 0
     if np.any(q[mask] <= 0):
-        raise InfiniteDivergence("support(p) not contained in support(q)")
+        raise BadParameter("support(p) not contained in support(q)")
     return float(np.sum(p[mask] * _log(p[mask] / q[mask], base)))
 
 
@@ -75,7 +69,7 @@ def majorizes(x, y, tol: float = MAJ_TOL) -> bool:
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.shape != y.shape:
-        raise LengthMismatch("vectors differ in length")
+        raise DimensionMismatch("vectors differ in length")
     if abs(x.sum() - y.sum()) > max(tol, tol * abs(x.sum())):
         return False
     cx = np.cumsum(np.sort(x)[::-1])
@@ -100,7 +94,7 @@ def bhattacharyya_angle(p, q) -> float:
     """arccos sum sqrt(p_i q_i), the Fisher-Rao geodesic distance."""
     p, q = check_prob_vector(p), check_prob_vector(q)
     if p.shape != q.shape:
-        raise LengthMismatch("p and q differ in length")
+        raise DimensionMismatch("p and q differ in length")
     return float(np.arccos(np.clip(np.sum(np.sqrt(p * q)), -1.0, 1.0)))
 
 
@@ -121,7 +115,7 @@ def quantum_relative_entropy(rho, eta, base: float = np.e) -> float:
     # support check: rho must vanish on the null space of eta
     null = Ve[:, we <= EIG_CLIP]
     if null.size and np.linalg.norm(null.conj().T @ rho @ null) > 1e-10:
-        raise InfiniteDivergence("support(rho) not contained in support(eta)")
+        raise BadParameter("support(rho) not contained in support(eta)")
     wr_c = np.clip(wr, EIG_CLIP, None)
     we_c = np.clip(we, EIG_CLIP, None)
     log_rho = (Vr * _log(wr_c, base)) @ Vr.conj().T
@@ -140,7 +134,7 @@ def qubit_relative_entropy_closed_form(tau_a, tau_b) -> float:
     tau_a, tau_b = np.asarray(tau_a, float), np.asarray(tau_b, float)
     a, b = np.linalg.norm(tau_a), np.linalg.norm(tau_b)
     if a > 1 or b >= 1:
-        raise OutsideBlochBall("closed form needs |tau_b| < 1")
+        raise BadParameter("closed form needs |tau_b| < 1")
     out = 0.5 * np.log((1 - a**2) / (1 - b**2))
     if a > 0:
         out += (a / 2) * np.log((1 + a) / (1 - a))
@@ -208,10 +202,10 @@ def measurement_update(rho, Pi):
     rho = check_density_matrix(rho)
     Pi = np.asarray(Pi, dtype=complex)
     if not np.allclose(Pi @ Pi, Pi, atol=1e-10):
-        raise ValueError("Pi is not a projector")
+        raise BadParameter("Pi is not a projector")
     prob = float(np.trace(Pi @ rho @ Pi).real)
     if prob < 1e-14:
-        raise ZeroProbabilityBranch("measurement branch has zero probability")
+        raise BadParameter("measurement branch has zero probability")
     return prob, Pi @ rho @ Pi / prob
 
 
@@ -219,7 +213,7 @@ def bloch_to_density(tau) -> np.ndarray:
     """rho = (I + tau . sigma)/2."""
     tau = np.asarray(tau, dtype=float)
     if np.dot(tau, tau) > 1.0 + 1e-12:
-        raise OutsideBlochBall(f"|tau| = {np.linalg.norm(tau)} > 1")
+        raise BadParameter(f"|tau| = {np.linalg.norm(tau)} > 1")
     return (np.eye(2, dtype=complex)
             + sum(t * s for t, s in zip(tau, (sc.X, sc.Y, sc.Z)))) / 2
 

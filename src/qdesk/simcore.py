@@ -18,13 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    BadParameter,
-    DimensionMismatch,
-    NotHermitian,
-    NotTracePreserving,
-    TargetOutOfRange,
-)
+from .errors import BadParameter, DimensionMismatch, TargetOutOfRange
 
 # Fixed gate matrices
 I2 = np.eye(2, dtype=complex)
@@ -254,7 +248,7 @@ def kraus_apply(rho: np.ndarray, ops) -> np.ndarray:
     dim = rho.shape[0]
     total = sum(A.conj().T @ A for A in ops)
     if not np.allclose(total, np.eye(dim), atol=1e-8):
-        raise NotTracePreserving("Kraus operators do not sum to identity")
+        raise BadParameter("Kraus operators do not sum to identity")
     return sum(A @ rho @ A.conj().T for A in ops)
 
 
@@ -265,7 +259,7 @@ def _pauli_action(label: str):
     read-only (cols, phases): row k of P holds its one nonzero entry,
     phases[k], in column cols[k] = k ^ xmask."""
     if set(label) - set(PAULIS):
-        raise KeyError(f"{label!r} is not a Pauli string")
+        raise BadParameter(f"{label!r} is not a Pauli string")
     xmask = int("0" + label.translate(str.maketrans("IXYZ", "0110")), 2)
     zmask = int("0" + label.translate(str.maketrans("IXYZ", "0011")), 2)
     cols = np.arange(2 ** len(label)) ^ xmask
@@ -335,7 +329,7 @@ def pauli_reconstruct(terms, n: int) -> np.ndarray:
 def exp_hamiltonian(Hm: np.ndarray, t: float) -> np.ndarray:
     """exp(-i H t) by exact eigendecomposition."""
     if not np.allclose(Hm, Hm.conj().T, atol=1e-10):
-        raise NotHermitian("input is not Hermitian")
+        raise BadParameter("input is not Hermitian")
     w, V = np.linalg.eigh(Hm)
     return (V * np.exp(-1j * w * t)) @ V.conj().T
 
@@ -401,7 +395,7 @@ class CircuitOp(NamedTuple):
             return FIXED_GATES[self.name]
         if self.name in GATE_FACTORIES:  # float64, as Circuit._blocks
             return GATE_FACTORIES[self.name](float(self.param))
-        raise KeyError(f"unknown gate {self.name!r}")
+        raise BadParameter(f"unknown gate {self.name!r}")
 
 
 _REAL = (int, float, np.integer, np.floating)
@@ -455,7 +449,7 @@ class Circuit:
                     raise BadParameter(
                         f"gate {name!r} needs a finite param, got {param!r}")
             else:
-                raise KeyError(f"unknown gate {name!r}")
+                raise BadParameter(f"unknown gate {name!r}")
             dim = 1 << len(targets)
             if shape != (dim, dim):
                 raise DimensionMismatch(f"gate {name!r} of shape {shape} "
@@ -529,7 +523,7 @@ class Circuit:
         U = np.eye(2**self.n, dtype=complex)
         for gate, targets in self._blocks():
             if gate is None:
-                raise ValueError("circuit with measurements has no unitary")
+                raise BadParameter("circuit with measurements has no unitary")
             U = apply_gate(U, gate, targets)
         return U.T
 
@@ -548,7 +542,7 @@ class Circuit:
         for gate, targets in self._blocks():
             if gate is None:
                 if rng is None:
-                    raise ValueError("measurement requires an rng")
+                    raise BadParameter("measurement requires an rng")
                 bit, psi = measure(psi, targets[0], rng)
                 bits[targets[0]] = bit
             else:

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (BadLength, BadParameter, DimensionMismatch,
-                     TargetOutOfRange, UnsupportedKind, _check_counts)
+from .errors import (BadParameter, DimensionMismatch, TargetOutOfRange,
+                     _check_counts)
 from .varqml import _row_differences
 
 
@@ -70,7 +70,7 @@ def mps_from_tensor(T: np.ndarray, Dmax: int | None = None) -> MPS:
     dims = list(T.shape)
     N = len(dims)
     if N < 2:
-        raise BadLength("need at least two legs")
+        raise DimensionMismatch("need at least two legs")
     cores = []
     rest = T.reshape(1, -1)
     left = 1
@@ -145,7 +145,7 @@ def mps_norm(mps: MPS, scheme: str = "sequential",
             L = ctr.matmul(A.conj().reshape(Dl * d, Dr).T, tmp)
         val = float(np.sqrt(max(L[0, 0].real, 0.0)))
     else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+        raise BadParameter(f"unknown scheme {scheme!r}")
     return (val, ctr.ops) if return_ops else val
 
 
@@ -170,7 +170,7 @@ def count_colorings(edges, n_vertices: int, d: int) -> int:
     it ends in: a count that returns is exact."""
     letters = "abcdefghijklmnopqrstuvwxyz"
     if n_vertices > len(letters):
-        raise BadLength("too many vertices")
+        raise BadParameter("too many vertices")
     if any(not 0 <= v < n_vertices for e in edges for v in e):
         raise TargetOutOfRange(f"an edge leaves vertices 0..{n_vertices - 1}")
     eta = np.ones((d, d)) - np.eye(d)
@@ -428,8 +428,8 @@ def anomaly_fit(train, S: int, alpha: float, d: int = 2, D: int = 2,
         model = _random_projector(feats.shape[1], S, d, D, rng)
     theta = _flatten(model.cores)
     if np.any(theta.imag != 0):
-        raise UnsupportedKind("anomaly_fit fits real cores; the model's "
-                              "cores have imaginary parts")
+        raise BadParameter("anomaly_fit fits real cores; the model's "
+                           "cores have imaginary parts")
     theta = theta.real
     template = model.cores
 

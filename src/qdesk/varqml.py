@@ -19,16 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import simcore as sc
-from .errors import (
-    BadParameter,
-    DimensionMismatch,
-    IncompleteProjectors,
-    IntegratorDiverged,
-    NotHermitian,
-    TargetOutOfRange,
-    UnsupportedGenerator,
-    _check_counts,
-)
+from .errors import (BadParameter, DimensionMismatch, IntegratorDiverged,
+                     TargetOutOfRange, _check_counts)
 
 
 @dataclass
@@ -67,14 +59,14 @@ class ParamCircuit:
             if len(layer.generator) == 1:  # e^{-iaP} = cos a - i sin a P
                 label, c = layer.generator[0]
                 if not np.isclose(c, np.conj(c), atol=1e-10):
-                    raise NotHermitian(f"coefficient {c!r} is not real")
+                    raise BadParameter(f"coefficient {c!r} is not real")
                 a = (np.real(c) * th)[:, None]
                 psi = np.cos(a) * psi - 1j * np.sin(a) * sc.apply_pauli(
                     psi, label)
             else:
                 G = sc.pauli_reconstruct(layer.generator, self.n)
                 if not np.allclose(G, G.conj().T, atol=1e-10):
-                    raise NotHermitian("generator is not Hermitian")
+                    raise BadParameter("generator is not Hermitian")
                 w, V = np.linalg.eigh(G)
                 psi = ((psi @ V.conj()) * np.exp(-1j * th[:, None] * w)) @ V.T
         return psi if np.ndim(theta) == 2 else psi[0]
@@ -125,7 +117,7 @@ def parameter_shift_gradient(circ: ParamCircuit, theta, O,
     shift is applied in the rescaled variable c*theta. The 2P shifted rows
     are evaluated in one call."""
     if any(len(layer.generator) != 1 for layer in circ.layers):
-        raise UnsupportedGenerator(
+        raise BadParameter(
             "multi-term generator: use stochastic_parameter_shift")
     c = np.real([layer.generator[0][1] for layer in circ.layers]).astype(float)
     live = np.abs(c) >= 1e-14
@@ -552,7 +544,7 @@ def barren_gradient_sample(n: int, H, V, rng: np.random.Generator,
         for g, targets in _brickwork_gates(n, 3 * n, rng):
             pair = sc.apply_gate(pair, g, targets)
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        raise BadParameter(f"unknown mode {mode!r}")
     return float(-2 * np.vdot(pair[1], _act(H, pair[0])).imag)
 
 
@@ -884,8 +876,8 @@ def adiabatic_follow(H0, H1, T: float, schedule=None):
     midpoint of every step.
 
     Before anything is propagated, H0 and H1 that are not square matrices
-    of one shape (at least 2 x 2) raise DimensionMismatch, a non-Hermitian
-    one NotHermitian, and a T that is not finite and > 0 BadParameter."""
+    of one shape (at least 2 x 2) raise DimensionMismatch, and a
+    non-Hermitian one or a T that is not finite and > 0 BadParameter."""
     H0 = np.asarray(H0, dtype=complex)
     H1 = np.asarray(H1, dtype=complex)
     if H0.ndim != 2 or H0.shape[0] != H0.shape[1] or H0.shape[0] < 2 \
@@ -895,7 +887,7 @@ def adiabatic_follow(H0, H1, T: float, schedule=None):
                                 f"and {H1.shape}")
     for name, M in (("H0", H0), ("H1", H1)):
         if not np.allclose(M, M.conj().T, atol=1e-10):
-            raise NotHermitian(f"{name} is not Hermitian")
+            raise BadParameter(f"{name} is not Hermitian")
     if not (math.isfinite(T) and T > 0):
         raise BadParameter(f"T must be finite and > 0, got {T!r}")
     lam = schedule or (lambda s: s)
@@ -979,7 +971,7 @@ def variational_classifier(state_fn, projectors, X, y, theta0,
     projectors = [np.asarray(P, dtype=complex) for P in projectors]
     total = sum(projectors)
     if not np.allclose(total, np.eye(total.shape[0]), atol=1e-10):
-        raise IncompleteProjectors("projectors do not sum to identity")
+        raise BadParameter("projectors do not sum to identity")
 
     def probs(xi, th):
         psi = state_fn(xi, th)

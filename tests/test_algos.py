@@ -11,15 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdesk import algos, simcore as sc
-from qdesk.errors import (
-    AllSolutions,
-    BadParameter,
-    NoSolutions,
-    NotAnEigenvector,
-    NotHermitian,
-    PostselectionImpossible,
-    SingularMatrix,
-)
+from qdesk.errors import BadParameter
 
 
 class TestBell:
@@ -221,7 +213,7 @@ class TestQPE:
     def test_not_an_eigenvector(self):
         U = np.eye(2, dtype=complex)
         U[1, 1] = 1j
-        with pytest.raises(NotAnEigenvector):
+        with pytest.raises(BadParameter, match="not an eigenvector of U"):
             algos.phase_estimate(U, np.array([1, 1]) / np.sqrt(2), 3, 0.1,
                                  np.random.default_rng(5))
 
@@ -259,9 +251,9 @@ class TestGrover:
         assert np.argmax(np.abs(psi)) == 7
 
     def test_degenerate_oracles(self):
-        with pytest.raises(NoSolutions):
+        with pytest.raises(BadParameter, match="oracle marks nothing"):
             algos.grover(lambda x: False, 3)
-        with pytest.raises(AllSolutions):
+        with pytest.raises(BadParameter, match="oracle marks everything"):
             algos.grover(lambda x: True, 3)
 
 
@@ -358,7 +350,8 @@ class TestMatrixProtocols:
     def test_postselection_impossible(self):
         A = np.diag([0.25, 0.5]).astype(complex)
         x = np.array([1.0, 0.0], dtype=complex)
-        with pytest.raises(PostselectionImpossible):
+        with pytest.raises(BadParameter,
+                           match="acceptance probability vanishes"):
             algos._qpe_eigen_filter(A, x, lambda v: np.zeros_like(v), 4)
 
 
@@ -391,15 +384,15 @@ class TestMatrixProtocols:
     def test_invert_singular(self):
         A = np.diag([1e-16, 0.5]).astype(complex)
         x = np.array([0.6, 0.8], dtype=complex)
-        with pytest.raises(SingularMatrix):
+        with pytest.raises(BadParameter, match="A is singular"):
             algos.qpe_matrix_invert(A, x, 0.25, t_bits=6)
 
     def test_not_hermitian(self):
         A = np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex)
         x = np.array([1.0, 0.0], dtype=complex)
-        with pytest.raises(NotHermitian):
+        with pytest.raises(BadParameter, match="expects a Hermitian matrix"):
             algos.qpe_matrix_multiply(A, x, 6)
-        with pytest.raises(NotHermitian):
+        with pytest.raises(BadParameter, match="expects a Hermitian matrix"):
             algos.qpe_matrix_invert(A, x, 0.25, 6)
 
 

@@ -256,20 +256,48 @@ class TestParamBoundary:
         ("colorings", {"colors": 26}),
         ("colorings", {"vertices": 26, "colors": 4}),  # 4^26 = 2^52
         ("landau-zener", {"eta_grid": [0.01, 99.99]}),
+        # eps^2 overflows a float above about 1.3e154
+        ("dequant-inner", {"epsilon": 1e200}),
+        ("dequant-vs-quantum", {"epsilons": [1e200]}),
     ])
     def test_boundary_values_pass(self, name, params, tmp_path):
         path, _ = write_cfg(tmp_path, experiment=name, params=params)
         assert cli.main(["validate", "--config", str(path)]) == 0
 
-    @pytest.mark.parametrize("name,params,message", BAD)
+    @staticmethod
+    def _no_body(rng, **params):
+        raise AssertionError("experiment body ran")
+
+    @pytest.mark.parametrize("name,params,message", BAD + [
+        ("entropy", [], "params must be a JSON object"),
+        ("nope", {}, "unknown experiment 'nope'"),
+    ])
     def test_run_config_raises_before_the_body(self, name, params, message,
                                                monkeypatch):
-        def body(rng, **params):
-            raise AssertionError("experiment body ran")
-
-        monkeypatch.setitem(cli.EXPERIMENTS, name, body)
+        monkeypatch.setitem(cli.EXPERIMENTS, name, self._no_body)
         with pytest.raises(BadParameter, match=re.escape(message)):
             cli.run_config({"experiment": name, "seed": 1, "params": params})
+
+    # run_config is what perfbench calls: it rejects every config that
+    # validate rejects, not only its params
+    @pytest.mark.parametrize("cfg,message", [
+        ({"experiment": "entropy", "seed": True}, "seed must be an integer"),
+        ({"experiment": "entropy", "seed": "7"}, "seed must be an integer"),
+        ({"experiment": "entropy", "seed": 7.0}, "seed must be an integer"),
+        ({"experiment": "entropy"}, "seed is required"),
+        ({"experiment": "entropy", "seed": 1, "format": "xml"},
+         "unknown format 'xml'"),
+        ([], "config must be a JSON object"),
+    ])
+    def test_run_config_rejects_a_bad_config(self, cfg, message,
+                                             monkeypatch):
+        monkeypatch.setitem(cli.EXPERIMENTS, "entropy", self._no_body)
+        with pytest.raises(BadParameter, match=re.escape(message)):
+            cli.run_config(cfg)
+
+    def test_run_config_passes_unknown_keys(self):
+        out = cli.run_config({"experiment": "entropy", "seed": 1, "x": 1})
+        assert "shannon,1.75" in out
 
     @pytest.mark.parametrize("seed", range(1, 11))
     def test_one_entry_overlap_runs(self, seed, tmp_path, capsys):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdesk import dequant
-from qdesk.errors import BadParameter, EmptyClass, LengthMismatch, ZeroVector
+from qdesk.errors import BadParameter, DimensionMismatch
 
 
 def random_unit(n, rng):
@@ -25,9 +25,9 @@ class TestSQVector:
         assert np.abs(xs.probabilities() - [0.36, 0.64]).max() < 1e-12
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(ZeroVector):
+        with pytest.raises(BadParameter, match="from the zero vector"):
             dequant.SQVector([0.0, 0.0])
-        with pytest.raises(ZeroVector):
+        with pytest.raises(BadParameter, match="nonempty 1-d vector"):
             dequant.SQVector([])
 
     def test_sampling_law(self):
@@ -141,6 +141,11 @@ class TestEstimatorConfig:
         assert cfg.n_buckets == math.ceil(6 * math.log(2 / 0.05))
         assert cfg.bucket_size == math.ceil(9 / 0.01)
 
+    @pytest.mark.parametrize("epsilon", [3.0, 4.5, 1e154, 1e200, 1e308])
+    def test_large_epsilon_takes_one_sample_per_bucket(self, epsilon):
+        # eps^2 overflows a float above about 1.3e154
+        assert dequant.EstimatorConfig(epsilon, 0.05).bucket_size == 1
+
     @pytest.mark.parametrize("epsilon, delta", [
         (0.0, 0.05), (-0.5, 0.05), (math.inf, 0.05), (math.nan, 0.05),
         (0.1, 0.0), (0.1, 1.0), (0.1, 3.0), (0.1, -0.1), (0.1, math.nan),
@@ -177,9 +182,9 @@ class TestInnerEstimator:
     def test_length_mismatch(self):
         xs = dequant.SQVector([1.0, 1.0])
         rng = np.random.default_rng(3)
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DimensionMismatch, match="vector lengths differ"):
             dequant.estimator_samples(xs, [1.0], 4, rng)
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DimensionMismatch, match="vector lengths differ"):
             dequant.dequant_inner(xs, [1.0, 1.0, 1.0],
                                   dequant.EstimatorConfig(0.5, 0.2), rng)
 
@@ -239,7 +244,7 @@ class TestNearestCentroid:
                 dequant.nearest_centroid(X, y, t)
 
     def test_empty_class(self):
-        with pytest.raises(EmptyClass):
+        with pytest.raises(BadParameter, match="no training data"):
             dequant.nearest_centroid([], [], [1.0])
 
     def test_cfg_without_rng_rejected(self):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdesk import encode, qkernel as qk
-from qdesk.errors import SingularMatrix, SingularSystem
+from qdesk.errors import BadParameter
 
 AMP = encode.EncodingSpec("amplitude", {})
 PHASE = encode.EncodingSpec("phase", {})
@@ -185,7 +185,7 @@ class TestKernelFit:
     def test_rank_deficient_off_range_raises(self):
         K = np.outer([1.0, 1.0], [1.0, 1.0])
         gm = qk.GramMatrix(K)
-        with pytest.raises(SingularSystem):
+        with pytest.raises(BadParameter, match="y lies outside its range"):
             qk.kernel_fit(gm, [1.0, -1.0], 0.0)
 
     def test_convexity_witness(self):
@@ -225,7 +225,7 @@ class TestPowerOfData:
         )
 
     def test_singular_k1_rejected(self):
-        with pytest.raises(SingularMatrix):
+        with pytest.raises(BadParameter, match="K1 is numerically singular"):
             qk.geometric_difference(np.outer([1, 0], [1, 0]), np.eye(2))
 
     def test_inequality_100_random_instances(self):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdesk import qprob, simcore as sc
-from qdesk.errors import InfiniteDivergence, ZeroProbabilityBranch
+from qdesk.errors import BadParameter
 
 
 def random_density(n, rng, rank=None):
@@ -56,7 +56,7 @@ class TestRelativeEntropy:
         assert qprob.relative_entropy(p, p) == pytest.approx(0.0, abs=1e-14)
 
     def test_infinite_on_support_mismatch(self):
-        with pytest.raises(InfiniteDivergence):
+        with pytest.raises(BadParameter, match=r"support\(p\) not contained"):
             qprob.relative_entropy([0.5, 0.5], [1.0, 0.0])
 
     @given(st.integers(0, 2**31 - 1))
@@ -138,7 +138,8 @@ class TestQuantumRelativeEntropy:
     def test_support_violation(self):
         pure = np.diag([1.0, 0.0]).astype(complex)
         mixed = np.eye(2) / 2
-        with pytest.raises(InfiniteDivergence):
+        with pytest.raises(BadParameter,
+                           match=r"support\(rho\) not contained"):
             qprob.quantum_relative_entropy(mixed, pure)
 
     def test_qubit_closed_form_matches_spectral(self):
@@ -153,6 +154,11 @@ class TestQuantumRelativeEntropy:
             ref = qprob.quantum_relative_entropy(rho, eta)
             val = qprob.qubit_relative_entropy_closed_form(a, b)
             assert val == pytest.approx(ref, abs=1e-10)
+
+    def test_closed_form_rejects_pure_or_outside_eta(self):
+        for b in ([0, 0, 1], [0, 0, 1.5]):
+            with pytest.raises(BadParameter, match=r"needs \|tau_b\| < 1"):
+                qprob.qubit_relative_entropy_closed_form([0, 0, 0.5], b)
 
     def test_klein_inequality(self):
         rng = np.random.default_rng(3)
@@ -209,7 +215,7 @@ class TestPartialTraceAndCollapse:
 
     def test_zero_probability_branch(self):
         rho = np.diag([1.0, 0.0]).astype(complex)
-        with pytest.raises(ZeroProbabilityBranch):
+        with pytest.raises(BadParameter, match="branch has zero probability"):
             qprob.measurement_update(rho, np.diag([0.0, 1.0]).astype(complex))
 
 
@@ -226,6 +232,10 @@ class TestBloch:
     def test_pure_on_sphere(self):
         rho = qprob.bloch_to_density([0, 0, 1])
         assert np.abs(rho - np.diag([1.0, 0.0])).max() < 1e-12
+
+    def test_outside_ball_rejected(self):
+        with pytest.raises(BadParameter, match=r"^\|tau\| = 1\.5 > 1$"):
+            qprob.bloch_to_density([0, 0, 1.5])
 
 
 class TestSicPovm:

@@ -31,8 +31,7 @@ class TestMPS:
             assert np.abs(mps.to_dense() - T).max() < 1e-10
 
     def test_single_leg_rejected(self):
-        from qdesk.errors import BadLength
-        with pytest.raises(BadLength):
+        with pytest.raises(DimensionMismatch, match="at least two legs"):
             tnet.mps_from_tensor(np.ones(3))
 
     def test_product_tensor_bond_one(self):
@@ -423,10 +422,9 @@ class TestBatchedLoss:
                                       abs=1e-12)]
 
     def test_complex_model_rejected(self):
-        from qdesk.errors import UnsupportedKind
         model = complex_projector(4, 2, 2, 2, np.random.default_rng(47))
         train = [np.full(4, 0.5)]
-        with pytest.raises(UnsupportedKind):
+        with pytest.raises(BadParameter, match="fits real cores"):
             tnet.anomaly_fit(train, S=2, alpha=0.05, steps=1, model=model)
 
     @pytest.mark.parametrize("N,d", [(5, 2), (3, 2), (4, 3)])

@@ -12,9 +12,7 @@ from hypothesis import strategies as st
 from qdesk import simcore as sc, varqml as vq
 from qdesk.encode import EncodingSpec, encoding_unitary
 from qdesk.errors import (BadParameter, DimensionMismatch,
-                          IntegratorDiverged, TargetOutOfRange,
-                          UnsupportedGenerator)
-from qdesk.errors import NotHermitian
+                          IntegratorDiverged, TargetOutOfRange)
 
 
 def two_qubit_circuit():
@@ -42,7 +40,7 @@ class TestParameterShift:
 
     def test_rejects_multi_term_generators(self):
         circ = vq.ParamCircuit(1, [vq.Layer([("X", 1.0), ("Z", 0.5)])])
-        with pytest.raises(UnsupportedGenerator):
+        with pytest.raises(BadParameter, match="multi-term generator"):
             vq.parameter_shift_gradient(circ, [0.3], sc.Z)
 
     def test_single_qubit_closed_form(self):
@@ -117,7 +115,7 @@ class TestSinglePauliClosedForm:
 
     def test_complex_coefficient_not_hermitian(self):
         circ = vq.ParamCircuit(2, [vq.Layer([("XZ", 1.0 + 0.5j)])])
-        with pytest.raises(NotHermitian):
+        with pytest.raises(BadParameter, match=r"coefficient \(1\+0\.5j\) is"):
             circ.state([0.3])
 
     def test_shift_integrand_matches_exponentials(self):
@@ -278,9 +276,9 @@ class TestAngleRows:
 
     def test_multi_term_complex_coefficient_not_hermitian(self):
         circ = vq.ParamCircuit(2, [vq.Layer([("XZ", 1.0), ("YI", 0.5j)])])
-        with pytest.raises(NotHermitian):
+        with pytest.raises(BadParameter, match="generator is not Hermitian"):
             circ.state([0.3])
-        with pytest.raises(NotHermitian):
+        with pytest.raises(BadParameter, match="generator is not Hermitian"):
             circ.state(np.zeros((4, 1)))
 
     def test_parameter_shift_matches_per_parameter_loop(self):
@@ -1024,7 +1022,7 @@ class TestDynamicsBoundary:
     def test_follow_rejects_non_hermitian(self, which):
         H = [self.H0, self.H1]
         H[which] = H[which] + np.triu(np.ones((4, 4)), 1)
-        with pytest.raises(NotHermitian, match=f"H{which}"):
+        with pytest.raises(BadParameter, match=f"H{which} is not Hermitian"):
             vq.adiabatic_follow(*H, 10.0)
 
     @pytest.mark.parametrize("H0, H1", [
@@ -1105,3 +1103,11 @@ class TestClassifier:
         )
         assert acc == 1.0
         assert hist[-1] < hist[0]
+
+    def test_incomplete_projectors_rejected(self):
+        P0 = np.diag([1.0, 0.0]).astype(complex)
+        with pytest.raises(BadParameter,
+                           match="projectors do not sum to identity"):
+            vq.variational_classifier(
+                lambda x, th: np.array([1.0, 0.0], dtype=complex),
+                [P0, P0], [0.0], [0], [0.0], epochs=1)
