@@ -226,14 +226,9 @@ def count_colorings_brute_force(edges, n_vertices: int, d: int) -> int:
 # --- anomaly detection -------------------------------------------------------
 
 def trig_embedding(x, d: int = 2) -> np.ndarray:
-    """Unit-norm per-site feature map; d=2 is (cos, sin)."""
-    k = np.arange(d)
-    v = np.cos(np.pi * x / 2 - np.pi * k / d)
-    return v / np.linalg.norm(v)
-
-
-def embed_sample(x, d: int = 2) -> list:
-    return [trig_embedding(float(xi), d) for xi in np.atleast_1d(x)]
+    """Unit-norm feature vector of one site, as _features maps it; d=2 is
+    (cos, sin)."""
+    return _features([float(x)], d)[0, 0]
 
 
 @dataclass
@@ -302,7 +297,7 @@ def projector_frobenius(model: ProjectorMPS) -> float:
 
 def anomaly_score(model: ProjectorMPS, x, return_ops: bool = False):
     """||P Phi(x)||_2 by sequential contraction."""
-    feats = embed_sample(x, model.d)
+    feats = _features([x], model.d)[0]
     if len(feats) != model.n_sites:
         raise DimensionMismatch("sample length does not match model")
     out, ops1 = model.apply(feats, return_ops=True)
@@ -345,7 +340,8 @@ _SWEEP_BUDGET = 4096
 
 
 def _features(samples, d: int) -> np.ndarray:
-    """trig_embedding of every site of every sample, shape (M, N, d)."""
+    """cos(pi x / 2 - pi k / d), k = 0..d-1, normalised, for every site x
+    of every sample: shape (M, N, d). The one feature map of the model."""
     if len({np.size(x) for x in samples}) != 1:
         raise DimensionMismatch("need samples, all of one length")
     x = np.array([np.atleast_1d(xi) for xi in samples], dtype=float)

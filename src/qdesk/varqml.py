@@ -554,21 +554,11 @@ def case3_variance(H, V, n: int, exact: bool = True) -> float:
     case3_variance_from_traces."""
     H = np.asarray(H, dtype=complex)
     V = np.asarray(V, dtype=complex)
-    tr_v2, tr_v = _square_and_trace(V)
-    return case3_variance_from_traces(_traceless_square(H), tr_v2, tr_v, n,
-                                      exact)
-
-
-def _traceless_square(H: np.ndarray) -> float:
-    """tr(H~^2) for the traceless part H~ of H."""
     Ht = H - np.trace(H) / H.shape[0] * np.eye(H.shape[0])
-    # tr(A A) = sum_ij A_ij A_ji: O(d^2), no d^3 matrix product
-    return np.sum(Ht * Ht.T).real
-
-
-def _square_and_trace(V: np.ndarray) -> tuple:
-    """(tr(V^2), tr V)."""
-    return np.sum(V * V.T).real, np.trace(V).real
+    # tr(A B) = sum_ij A_ij B_ji: O(d^2), no d^3 matrix product
+    return case3_variance_from_traces(np.sum(Ht * Ht.T).real,
+                                      np.sum(V * V.T).real,
+                                      np.trace(V).real, n, exact)
 
 
 def case3_variance_from_traces(tr_h2: float, tr_v2: float, tr_v: float,
@@ -604,41 +594,25 @@ def _z_on_first(n: int):
     return lambda psi: sc.apply_pauli(psi, label)
 
 
-def barren_experiment(n_values, ensemble: int, rng: np.random.Generator,
-                      mode: str = "brickwork", H_builder=None,
-                      V_builder=None):
-    """Sweep of (n, mean gradient, variance, stderr of the mean).
-
-    Defaults: global cost H = |0..0><0..0| - I/2^n (traceless) and
-    V = Z on qubit 0, the configuration whose variance decays as 4^{-n}.
-    Both act without a matrix, and their traces are in closed form:
-    tr(H~^2) = 1 - 1/d, tr(V^2) = d, tr V = 0. Custom builders return
-    dense matrices.
-    """
+def barren_experiment(n_values, ensemble: int, rng: np.random.Generator):
+    """Sweep of (n, mean gradient, variance, stderr of the mean) over
+    brickwork draws, for the global cost H = |0..0><0..0| - I/2^n
+    (traceless) and V = Z on qubit 0, the configuration whose variance
+    decays as 4^{-n}. Both act without a matrix, and their traces are in
+    closed form: tr(H~^2) = 1 - 1/d, tr(V^2) = d, tr V = 0."""
     rows = []
     for n in n_values:
         d = 2**n
-        if H_builder is None:
-            H, tr_h2 = _global_cost(d), 1 - 1 / d
-        else:
-            H = np.asarray(H_builder(n), dtype=complex)
-            tr_h2 = _traceless_square(H)
-        if V_builder is None:
-            V, tr_v2, tr_v = _z_on_first(n), d, 0.0
-        else:
-            V = np.asarray(V_builder(n), dtype=complex)
-            tr_v2, tr_v = _square_and_trace(V)
-        g = np.array([
-            barren_gradient_sample(n, H, V, rng, mode=mode)
-            for _ in range(ensemble)
-        ])
+        H, V = _global_cost(d), _z_on_first(n)
+        g = np.array([barren_gradient_sample(n, H, V, rng)
+                      for _ in range(ensemble)])
         rows.append({
             "n": n,
             "mean": float(g.mean()),
             "var": float(g.var(ddof=1)),
             "stderr": float(g.std(ddof=1) / np.sqrt(ensemble)),
-            "closed_form_var": case3_variance_from_traces(tr_h2, tr_v2,
-                                                          tr_v, n),
+            "closed_form_var": case3_variance_from_traces(1 - 1 / d, d, 0.0,
+                                                          n),
         })
     return rows
 
@@ -657,11 +631,12 @@ _CF4_BATCH = 4096       # steps whose exponentials are held at once
 
 @dataclass
 class Propagation:
-    """States at the grid times (one row each) and the number of H(t)
-    evaluations that produced them."""
+    """States at the grid times (one row each), the number of H(t)
+    evaluations that produced them, and H at the grid times, (k, d, d)."""
 
     states: np.ndarray
     nfev: int
+    hamiltonians: np.ndarray
 
 
 def _cf4_steps(duration: float, h_norm: float) -> int:
@@ -792,7 +767,8 @@ def solve_ivp(hamiltonian, t_grid, psi0) -> Propagation:
     binary tree, and the interval propagators are applied to psi in grid
     order. The intervals that fail the change rule are then refined one at
     a time, in grid order. A doubled count is evaluated half by half, so an
-    attempt that fails in its first half costs half the evaluations."""
+    attempt that fails in its first half costs half the evaluations.
+    The result carries H(t_grid), the stack the step rule reads."""
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0 \
             or not np.isfinite(t_grid).all() or (np.diff(t_grid) <= 0).any():
@@ -829,7 +805,7 @@ def solve_ivp(hamiltonian, t_grid, psi0) -> Propagation:
         for U in segments:
             psi = U @ psi
         states.append(psi)
-    return Propagation(np.array(states), int(nfev))
+    return Propagation(np.array(states), int(nfev), H)
 
 
 def landau_zener(alpha: float, Delta: float) -> float:
@@ -871,9 +847,9 @@ def adiabatic_follow(H0, H1, T: float, schedule=None):
     grid, so that no step turns the phase by more than a quarter radian.
     Where the schedule moves lam by more than about 0.01 within one step,
     solve_ivp doubles that interval's steps until it does not. The schedule
-    is called on scalar s: once at each check point, whose stack also gives
-    the instantaneous ground states, and at the two Gauss nodes and the
-    midpoint of every step.
+    is called on scalar s: once at each check point, whose stack
+    (Propagation.hamiltonians) also gives the instantaneous ground states,
+    and at the two Gauss nodes and the midpoint of every step.
 
     Before anything is propagated, H0 and H1 that are not square matrices
     of one shape (at least 2 x 2) raise DimensionMismatch, and a
@@ -892,27 +868,17 @@ def adiabatic_follow(H0, H1, T: float, schedule=None):
         raise BadParameter(f"T must be finite and > 0, got {T!r}")
     lam = schedule or (lambda s: s)
 
-    def H(s_values):
-        lams = np.array([lam(s) for s in s_values])[:, None, None]
+    def H(t):
+        lams = np.array([lam(s) for s in t / T])[:, None, None]
         return (1 - lams) * H0 + lams * H1
 
     w, V = np.linalg.eigh(H0)
     if w[1] - w[0] < 1e-12:
         raise IntegratorDiverged("degenerate initial ground state")
-    psi0 = V[:, 0]
-
-    checks = []  # solve_ivp evaluates the check grid first
-
-    def H_t(t):
-        stack = H(t / T)
-        if not checks:
-            checks.append(stack)
-        return stack
-
     s_grid = np.linspace(0, 1, 51)
-    states = solve_ivp(H_t, s_grid * T, psi0).states
-    _, V = np.linalg.eigh(checks[0])
-    fids = np.abs(np.einsum("ij,ij->i", V[:, :, 0].conj(), states)) ** 2
+    out = solve_ivp(H, s_grid * T, V[:, 0])
+    _, V = np.linalg.eigh(out.hamiltonians)
+    fids = np.abs(np.einsum("ij,ij->i", V[:, :, 0].conj(), out.states)) ** 2
     return s_grid, fids
 
 

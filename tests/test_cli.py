@@ -206,7 +206,19 @@ class TestParamBoundary:
         ("landau-zener", {"eta_grid": [100]}, "eta_grid value 100"),
     ]
 
-    @pytest.mark.parametrize("name,params,message", BAD)
+    # finite values outside what the experiment can compute
+    OUT_OF_RANGE = [
+        # the loss has no minimum once alpha >= 2; at 1e308 it overflows
+        ("anomaly", {"alpha": 2},
+         "alpha must be a finite number >= 0 and < 2"),
+        ("anomaly", {"alpha": 1e308, "steps": 1},
+         "alpha must be a finite number >= 0 and < 2"),
+        # the Boltzmann weights overflow at T = 5e-324
+        ("gibbs", {"T": 5e-324}, "T must be a finite number >= 1e-300"),
+        ("gibbs", {"T": 0}, "T must be a finite number >= 1e-300"),
+    ]
+
+    @pytest.mark.parametrize("name,params,message", BAD + OUT_OF_RANGE)
     def test_validate_and_run_exit_2(self, name, params, message, tmp_path,
                                      capsys, monkeypatch):
         path, _ = write_cfg(tmp_path, experiment=name, params=params)
@@ -259,6 +271,9 @@ class TestParamBoundary:
         # eps^2 overflows a float above about 1.3e154
         ("dequant-inner", {"epsilon": 1e200}),
         ("dequant-vs-quantum", {"epsilons": [1e200]}),
+        # T at its floor and alpha just under its bound
+        ("gibbs", {"T": 1e-300}),
+        ("anomaly", {"alpha": 1.99}),
     ])
     def test_boundary_values_pass(self, name, params, tmp_path):
         path, _ = write_cfg(tmp_path, experiment=name, params=params)
@@ -271,7 +286,7 @@ class TestParamBoundary:
     @pytest.mark.parametrize("name,params,message", BAD + [
         ("entropy", [], "params must be a JSON object"),
         ("nope", {}, "unknown experiment 'nope'"),
-    ])
+    ] + OUT_OF_RANGE)
     def test_run_config_raises_before_the_body(self, name, params, message,
                                                monkeypatch):
         monkeypatch.setitem(cli.EXPERIMENTS, name, self._no_body)

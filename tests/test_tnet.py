@@ -210,7 +210,7 @@ class TestProjector:
         P = tnet.projector_to_dense(model)
         for _ in range(5):
             x = rng.uniform(-1, 1, size=6)
-            feats = tnet.embed_sample(x, 2)
+            feats = [tnet.trig_embedding(xi, 2) for xi in x]
             phi = feats[0]
             for f in feats[1:]:
                 phi = np.kron(phi, f)
@@ -231,7 +231,7 @@ class TestProjector:
         model = tnet._random_projector(4, 2, 2, 2, rng)
         P = tnet.projector_to_dense(model)
         x = rng.uniform(-1, 1, size=4)
-        feats = tnet.embed_sample(x, 2)
+        feats = [tnet.trig_embedding(xi, 2) for xi in x]
         phi = feats[0]
         for f in feats[1:]:
             phi = np.kron(phi, f)
@@ -280,8 +280,8 @@ class TestProjector:
         assert P.shape == (4, 16)
         for x in train:
             phi = np.ones(1)
-            for f in tnet.embed_sample(x, 2):
-                phi = np.kron(phi, f)
+            for xi in x:
+                phi = np.kron(phi, tnet.trig_embedding(xi, 2))
             assert np.linalg.norm(P @ phi) == pytest.approx(
                 tnet.anomaly_score(model, x), abs=1e-12)
 
@@ -403,7 +403,7 @@ class TestBatchedLoss:
 
         monkeypatch.setattr(tnet.ProjectorMPS, "apply", refuse)
         monkeypatch.setattr(tnet, "mps_norm", refuse)
-        monkeypatch.setattr(tnet, "embed_sample", refuse)
+        monkeypatch.setattr(tnet, "trig_embedding", refuse)
         rng = np.random.default_rng(43)
         train = [0.5 + 0.05 * rng.standard_normal(4) for _ in range(3)]
         _, hist = tnet.anomaly_fit(train, S=2, alpha=0.05, steps=3,

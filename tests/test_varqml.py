@@ -775,14 +775,31 @@ class TestBarren:
 
     @pytest.mark.parametrize("mode", ["brickwork", "haar"])
     def test_matrix_free_defaults_match_dense(self, mode):
+        # barren_experiment's rows (brickwork) or a loop of haar draws on
+        # the matrix-free H and V, against a loop of draws from the same
+        # stream on their dense matrices and the dense closed form
         n_values = [1, 2, 3, 4, 5]
-        fast = vq.barren_experiment(n_values, 12, np.random.default_rng(3),
-                                    mode=mode)
-        dense = vq.barren_experiment(
-            n_values, 12, np.random.default_rng(3), mode=mode,
-            H_builder=lambda n: self.dense_defaults(n)[0],
-            V_builder=lambda n: self.dense_defaults(n)[1])
-        for a, b in zip(fast, dense):
+
+        def rows(operators):
+            rng = np.random.default_rng(3)
+            out = []
+            for n in n_values:
+                H, V = operators(n)
+                g = np.array([vq.barren_gradient_sample(n, H, V, rng,
+                                                        mode=mode)
+                              for _ in range(12)])
+                out.append({"n": n, "mean": g.mean(), "var": g.var(ddof=1),
+                            "stderr": g.std(ddof=1) / np.sqrt(12),
+                            "closed_form_var": vq.case3_variance(
+                                *self.dense_defaults(n), n)})
+            return out
+
+        if mode == "brickwork":
+            fast = vq.barren_experiment(n_values, 12,
+                                        np.random.default_rng(3))
+        else:
+            fast = rows(lambda n: (vq._global_cost(2**n), vq._z_on_first(n)))
+        for a, b in zip(fast, rows(self.dense_defaults), strict=True):
             assert a["n"] == b["n"]
             for key in ("mean", "var", "stderr", "closed_form_var"):
                 assert abs(a[key] - b[key]) < 1e-12
@@ -823,7 +840,8 @@ class TestAdiabatic:
 
         def window_only(hamiltonian, t_grid, psi0):
             windows.append(list(t_grid))
-            return vq.Propagation(np.array([psi0, psi0]), 0)
+            return vq.Propagation(np.array([psi0, psi0]), 0,
+                                  hamiltonian(np.asarray(t_grid)))
 
         with monkeypatch.context() as m:
             m.setattr(vq, "solve_ivp", window_only)
@@ -855,6 +873,22 @@ class TestAdiabatic:
         vq.adiabatic_follow(H0, H1, 8.0, schedule)
         counts = collections.Counter(calls)
         assert [counts[s] for s in np.linspace(0, 1, 51)] == [1] * 51
+
+    def test_fidelities_do_not_depend_on_evaluation_order(self, monkeypatch):
+        # the check-grid ground states come from the H stack solve_ivp
+        # returns, not from whichever stack it evaluates first
+        H0 = -sc.pauli_reconstruct([("XI", 1.0), ("IX", 1.0)], 2)
+        H1 = vq.IsingModel({(0, 1): 0.7}, np.array([0.3, -0.5])).hamiltonian()
+        _, ref = vq.adiabatic_follow(H0, H1, 8.0)
+        solve = vq.solve_ivp
+
+        def probe_first(hamiltonian, t_grid, psi0):
+            hamiltonian(np.asarray(t_grid)[:1])
+            return solve(hamiltonian, t_grid, psi0)
+
+        monkeypatch.setattr(vq, "solve_ivp", probe_first)
+        _, fids = vq.adiabatic_follow(H0, H1, 8.0)
+        assert np.array_equal(fids, ref)
 
 
 def at_default_and_half_step(monkeypatch, compute):
@@ -889,6 +923,11 @@ class TestMagnusPropagator:
         err = [np.linalg.norm(self.final_state(monkeypatch, n) - ref)
                for n in (64, 128)]
         assert err[0] / err[1] > 12  # 16 for a fourth-order scheme
+
+    def test_hamiltonians_are_the_grid_stack(self):
+        grid = np.array([-2.0, -0.5, 1.0, 3.0])
+        out = vq.solve_ivp(self.sweep, grid, [1, 0])
+        assert np.array_equal(out.hamiltonians, self.sweep(grid))
 
     def test_batches_and_grid(self, monkeypatch):
         # more steps than one batch; states reported at every grid time
