@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simcore as sc
-from .errors import BadParameter, DimensionMismatch, _check_counts
+from .errors import (BadParameter, DimensionMismatch, _check_close,
+                     _check_counts)
 
 # --- Bell states and teleportation ---------------------------------------
 
@@ -307,8 +308,7 @@ def _qpe_eigen_filter(A: np.ndarray, x: np.ndarray, f, t_bits: int):
     that each eigenvalue is read as a phase without wrapping. Returns
     (state, p_acc, eigenvalues).
     """
-    if not np.allclose(A, A.conj().T, atol=1e-10):
-        raise BadParameter("protocol expects a Hermitian matrix")
+    _check_close(A, A.conj().T, 1e-10, "protocol expects a Hermitian matrix")
     lam, V = np.linalg.eigh(A)
     if lam.min() <= 0 or lam.max() >= 1:
         raise BadParameter(f"eigenvalues must lie in (0, 1), got "

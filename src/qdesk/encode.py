@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import qprob
 from . import simcore as sc
 from .errors import BadParameter, DimensionMismatch
 
@@ -81,11 +82,9 @@ def amplitude_encode_with_norm(x) -> np.ndarray:
 
 def qsample_encode(p) -> np.ndarray:
     """Amplitudes sqrt(p_j); computational-basis measurement samples p."""
-    p = np.asarray(p, dtype=float)
+    p = qprob.check_prob_vector(p)
     if p.size & (p.size - 1):
         raise DimensionMismatch("length must be a power of two")
-    if np.any(p < 0) or abs(p.sum() - 1) > 1e-12:
-        raise BadParameter("not a probability vector")
     return np.sqrt(p).astype(complex)
 
 
@@ -152,34 +151,29 @@ def frequency_spectrum(spec: EncodingSpec, layers: int = 1) -> np.ndarray:
 
 # --- Fourier fitting ---------------------------------------------------------
 
-def _sampled_spectrum(model, omegas, oversample: int):
-    """Integer spectrum and the DFT coefficients of the 2*pi-periodic model
-    sampled at K = 2*oversample*max(Omega) + 1 equispaced points, as
-    (ints, {w: c_w} for every |w| <= K // 2, in FFT order)."""
+def _fourier_split(model, omegas):
+    """(coefficients {w: c_w} for w in Omega, off-spectrum power) of the
+    2*pi-periodic model, from one DFT of K = 8*max|Omega| + 1 equispaced
+    samples, so frequencies up to 4*max|Omega| are told apart from Omega."""
     omegas = np.asarray(omegas)
     ints = np.round(omegas).astype(int)
     if ints.size and np.abs(omegas - ints).max() > 1e-9:
         raise BadParameter("spectrum must be integer-valued for DFT fitting")
-    wmax = int(np.abs(ints).max()) if ints.size else 0
-    K = 2 * oversample * max(wmax, 1) + 1
+    K = 8 * int(np.abs(ints).max(initial=1)) + 1
     xs = 2 * np.pi * np.arange(K) / K
     fs = np.array([model(x) for x in xs], dtype=complex)
-    all_c = np.fft.fft(fs) / K  # coefficient of e^{i w x} sits at index w mod K
-    return ints, {(i if i <= K // 2 else i - K): c
-                  for i, c in enumerate(all_c)}
+    dft = np.fft.fft(fs) / K  # coefficient of e^{i w x} sits at index w mod K
+    all_c = {(i if i <= K // 2 else i - K): c for i, c in enumerate(dft)}
+    coeffs = {int(w): complex(c) for w, c in all_c.items() if w in ints}
+    off_power = sum(abs(c) ** 2 for w, c in all_c.items() if w not in ints)
+    return coeffs, float(off_power)
 
 
 def fit_fourier_coefficients(model, omegas) -> dict:
-    """Fit f(x) = sum_w c_w e^{iwx} on an integer spectrum.
-
-    Samples the 2*pi-periodic model at K = 4*max(Omega) + 1 (oversampling
-    2) equispaced points and inverts the DFT. Raises BadParameter when the
-    off-spectrum residual power exceeds 1e-8 (the model has frequencies the
-    sampling grid cannot separate from Omega).
-    """
-    ints, all_c = _sampled_spectrum(model, omegas, 2)
-    coeffs = {int(w): complex(c) for w, c in all_c.items() if w in ints}
-    off_power = sum(abs(c) ** 2 for w, c in all_c.items() if w not in ints)
+    """Fit f(x) = sum_w c_w e^{iwx} on an integer spectrum, from the grid
+    of off_spectrum_power. Raises BadParameter when the off-spectrum power
+    exceeds 1e-8 (the model has frequencies outside Omega)."""
+    coeffs, off_power = _fourier_split(model, omegas)
     if off_power > 1e-8:
         raise BadParameter(
             f"off-spectrum power {off_power:.3e} exceeds tolerance"
@@ -188,10 +182,8 @@ def fit_fourier_coefficients(model, omegas) -> dict:
 
 
 def off_spectrum_power(model, omegas) -> float:
-    """Total squared coefficient mass outside the integer spectrum Omega
-    (diagnostic), sampled at K = 8*max(Omega) + 1 points (oversampling 4)."""
-    ints, all_c = _sampled_spectrum(model, omegas, 4)
-    return float(sum(abs(c) ** 2 for w, c in all_c.items() if w not in ints))
+    """Squared coefficient mass outside the integer spectrum Omega."""
+    return _fourier_split(model, omegas)[1]
 
 
 def encoding_model(spec: EncodingSpec, trainables, observable,

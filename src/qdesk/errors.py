@@ -1,8 +1,10 @@
-"""The exception types, and the check of count parameters.
+"""The exception types, and the checks of counts and of closeness.
 
 Every argument qdesk rejects raises BadParameter, or one of its two
 subclasses; IntegratorDiverged is a numerical failure, not bad input."""
 import numbers
+
+import numpy as np
 
 
 class QdeskError(Exception):
@@ -32,3 +34,13 @@ def _check_counts(**counts):
         if isinstance(v, bool) or not isinstance(v, numbers.Integral) \
                 or v < 1:
             raise BadParameter(f"{name} must be an integer >= 1, got {v!r}")
+
+
+def _check_close(a, b, atol: float, message: str):
+    """DimensionMismatch(message) unless a and b have one shape, and
+    BadParameter(message) unless they agree within atol, with no rtol."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape:
+        raise DimensionMismatch(message)
+    if not np.allclose(a, b, rtol=0.0, atol=atol):
+        raise BadParameter(message)

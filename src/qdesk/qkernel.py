@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import encode
-from .errors import BadParameter, DimensionMismatch
+from .errors import BadParameter, DimensionMismatch, _check_close
 
 PINV_CUTOFF = 1e-10
 
@@ -61,8 +61,7 @@ class GramMatrix:
 
     def __post_init__(self):
         K = np.asarray(self.K, dtype=float)
-        if not np.allclose(K, K.T, atol=1e-10):
-            raise BadParameter("Gram matrix not symmetric")
+        _check_close(K, K.T, 1e-10, "Gram matrix not symmetric")
         if np.linalg.eigvalsh(K).min() < -1e-8:
             raise BadParameter("Gram matrix not positive semidefinite")
         self.K = K
@@ -153,10 +152,11 @@ def geometric_difference(K1, K2) -> float:
     return float(np.sqrt(np.linalg.eigvalsh((mid + mid.T) / 2).max()))
 
 
-def effective_dimension(K, tolerance: float = 1e-10) -> int:
-    """Number of eigenvalues above tolerance, d = rank(K)."""
+def effective_dimension(K) -> int:
+    """d = rank(K), counting the eigenvalues that _pinv keeps."""
     K = K.K if isinstance(K, GramMatrix) else np.asarray(K, dtype=float)
-    return int(np.sum(np.linalg.eigvalsh(K) > tolerance))
+    w = np.abs(np.linalg.eigvalsh(K))
+    return int(np.sum(w > PINV_CUTOFF * w.max()))
 
 
 # --- power of data: classical quadratic-feature regression --------------------

@@ -3,16 +3,16 @@
 Entropies, majorization, information geometry, density-matrix functionals,
 Schmidt decomposition and the measurement collapse rule.
 
-Log bases: classical quantities default to bits (base 2); the qubit
-relative-entropy closed form is stated in nats, so quantum relative
-entropy defaults to natural log.
+Log bases: entropies are in bits (base 2; shannon_entropy takes another
+base); the qubit relative-entropy closed form is stated in nats, so
+quantum relative entropy is in nats.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from . import simcore as sc
-from .errors import BadParameter, DimensionMismatch
+from .errors import BadParameter, DimensionMismatch, _check_close
 
 EIG_CLIP = 1e-14  # spectral floor before taking logs
 MAJ_TOL = 1e-12
@@ -29,8 +29,7 @@ def check_prob_vector(p) -> np.ndarray:
 
 def check_density_matrix(rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
-    if not np.allclose(rho, rho.conj().T, atol=1e-12):
-        raise BadParameter("density matrix not Hermitian")
+    _check_close(rho, rho.conj().T, 1e-12, "density matrix not Hermitian")
     if abs(np.trace(rho).real - 1.0) > 1e-12:
         raise BadParameter("density matrix trace != 1")
     if np.linalg.eigvalsh(rho).min() < -1e-10:
@@ -50,15 +49,15 @@ def shannon_entropy(p, base: float = 2.0) -> float:
     return float(0.0 - np.sum(p * _log(p, base)))
 
 
-def relative_entropy(p, q, base: float = 2.0) -> float:
-    """S(p||q) = sum p_i log(p_i / q_i)."""
+def relative_entropy(p, q) -> float:
+    """S(p||q) = sum p_i log2(p_i / q_i)."""
     p, q = check_prob_vector(p), check_prob_vector(q)
     if p.shape != q.shape:
         raise DimensionMismatch("p and q differ in length")
     mask = p > 0
     if np.any(q[mask] <= 0):
         raise BadParameter("support(p) not contained in support(q)")
-    return float(np.sum(p[mask] * _log(p[mask] / q[mask], base)))
+    return float(np.sum(p[mask] * _log(p[mask] / q[mask], 2.0)))
 
 
 def majorizes(x, y, tol: float = MAJ_TOL) -> bool:
@@ -98,15 +97,15 @@ def bhattacharyya_angle(p, q) -> float:
     return float(np.arccos(np.clip(np.sum(np.sqrt(p * q)), -1.0, 1.0)))
 
 
-def von_neumann_entropy(rho, base: float = 2.0) -> float:
+def von_neumann_entropy(rho) -> float:
     rho = check_density_matrix(rho)
     lam = np.linalg.eigvalsh(rho)
     lam = lam[lam > EIG_CLIP]
-    return float(0.0 - np.sum(lam * _log(lam, base)))  # +0.0 when pure
+    return float(0.0 - np.sum(lam * _log(lam, 2.0)))  # +0.0 when pure
 
 
-def quantum_relative_entropy(rho, eta, base: float = np.e) -> float:
-    """D(rho||eta) = tr rho (log rho - log eta)."""
+def quantum_relative_entropy(rho, eta) -> float:
+    """D(rho||eta) = tr rho (ln rho - ln eta), in nats."""
     rho, eta = check_density_matrix(rho), check_density_matrix(eta)
     if rho.shape != eta.shape:
         raise DimensionMismatch("states differ in dimension")
@@ -118,8 +117,8 @@ def quantum_relative_entropy(rho, eta, base: float = np.e) -> float:
         raise BadParameter("support(rho) not contained in support(eta)")
     wr_c = np.clip(wr, EIG_CLIP, None)
     we_c = np.clip(we, EIG_CLIP, None)
-    log_rho = (Vr * _log(wr_c, base)) @ Vr.conj().T
-    log_eta = (Ve * _log(we_c, base)) @ Ve.conj().T
+    log_rho = (Vr * np.log(wr_c)) @ Vr.conj().T
+    log_eta = (Ve * np.log(we_c)) @ Ve.conj().T
     val = np.trace(rho @ (log_rho - log_eta)).real
     return float(max(val, 0.0))
 
@@ -201,8 +200,7 @@ def measurement_update(rho, Pi):
     """Collapse rule: (prob, Pi rho Pi / prob)."""
     rho = check_density_matrix(rho)
     Pi = np.asarray(Pi, dtype=complex)
-    if not np.allclose(Pi @ Pi, Pi, atol=1e-10):
-        raise BadParameter("Pi is not a projector")
+    _check_close(Pi @ Pi, Pi, 1e-10, "Pi is not a projector")
     prob = float(np.trace(Pi @ rho @ Pi).real)
     if prob < 1e-14:
         raise BadParameter("measurement branch has zero probability")

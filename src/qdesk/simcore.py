@@ -18,7 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadParameter, DimensionMismatch, TargetOutOfRange
+from .errors import (BadParameter, DimensionMismatch, TargetOutOfRange,
+                     _check_close)
 
 # Fixed gate matrices
 I2 = np.eye(2, dtype=complex)
@@ -93,7 +94,7 @@ def basis_state(n: int, index: int = 0) -> np.ndarray:
 
 
 def is_unitary(U: np.ndarray) -> bool:
-    return np.allclose(U.conj().T @ U, np.eye(U.shape[0]), atol=1e-10)
+    return np.allclose(U.conj().T @ U, np.eye(len(U)), rtol=0.0, atol=1e-10)
 
 
 def _qubits(targets) -> tuple:
@@ -222,8 +223,10 @@ def measure(state: np.ndarray, qubit: int, rng: np.random.Generator):
     """Projective measurement of one qubit in the computational basis.
 
     Returns (bit, collapsed statevector). The outcome follows the Born rule
-    of the supplied generator.
+    of the supplied generator; a state that is not one vector raises.
     """
+    if np.ndim(state) != 1:
+        raise DimensionMismatch(f"state of shape {np.shape(state)}")
     n = n_qubits(state.size)
     (qubit,) = _qubits((qubit,))
     if not 0 <= qubit < n:
@@ -245,10 +248,9 @@ def statevector_to_density(psi: np.ndarray) -> np.ndarray:
 
 def kraus_apply(rho: np.ndarray, ops) -> np.ndarray:
     """Apply the channel rho -> sum_k A_k rho A_k^dag."""
-    dim = rho.shape[0]
     total = sum(A.conj().T @ A for A in ops)
-    if not np.allclose(total, np.eye(dim), atol=1e-8):
-        raise BadParameter("Kraus operators do not sum to identity")
+    _check_close(total, np.eye(len(rho)), 1e-8,
+                 "Kraus operators do not sum to identity")
     return sum(A @ rho @ A.conj().T for A in ops)
 
 
@@ -328,8 +330,7 @@ def pauli_reconstruct(terms, n: int) -> np.ndarray:
 
 def exp_hamiltonian(Hm: np.ndarray, t: float) -> np.ndarray:
     """exp(-i H t) by exact eigendecomposition."""
-    if not np.allclose(Hm, Hm.conj().T, atol=1e-10):
-        raise BadParameter("input is not Hermitian")
+    _check_close(Hm, Hm.conj().T, 1e-10, "input is not Hermitian")
     w, V = np.linalg.eigh(Hm)
     return (V * np.exp(-1j * w * t)) @ V.conj().T
 
@@ -579,12 +580,21 @@ def _json_matrix(rows) -> np.ndarray:
 
 
 def circuit_from_json(text: str) -> Circuit:
-    """Parse circuit_to_json output. `n` must be an integer in
-    1..MAX_QUBITS, and each op passes the checks of Circuit.add."""
-    data = json.loads(text)
+    """Parse circuit_to_json output; other text raises BadParameter. `n`
+    is an integer in 1..MAX_QUBITS, and each op passes Circuit.add."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise BadParameter(f"circuit text is not JSON: {e}") from None
+    ops = data.get("ops") if isinstance(data, dict) else None
+    if not (isinstance(ops, list) and "n" in data and all(
+            isinstance(op, dict) and "gate" in op and "targets" in op
+            for op in ops)):
+        raise BadParameter('circuit JSON needs "n" and an "ops" list, each '
+                           'op an object with "gate" and "targets"')
     circ = Circuit(data["n"])
     add = circ.add
-    for entry in data["ops"]:
+    for entry in ops:
         matrix = entry.get("matrix")
         if matrix is not None:
             matrix = _json_matrix(matrix)

@@ -46,21 +46,21 @@ class MPS:
             raise DimensionMismatch("final bond dimension must be 1")
 
     @property
-    def n_sites(self) -> int:
-        return len(self.tensors)
-
-    @property
     def bond_dims(self) -> list:
         return [A.shape[2] for A in self.tensors[:-1]]
 
     def to_dense(self) -> np.ndarray:
         """Contract to the full tensor (exponential; small N only)."""
-        out = self.tensors[0][0]  # (d, D1)
-        dims = [self.tensors[0].shape[1]]
-        for A in self.tensors[1:]:
-            out = np.tensordot(out, A, axes=(out.ndim - 1, 0))
-            dims.append(A.shape[1])
-        return out.reshape(dims)
+        return _chain(self.tensors)
+
+
+def _chain(cores) -> np.ndarray:
+    """Cores (Dl, ..., Dr), D_0 = D_N = 1, contracted over their bonds by
+    one reshape and matmul each: one axis per leg, in site order."""
+    out = cores[0][0]
+    for A in cores[1:]:
+        out = out.reshape(-1, A.shape[0]) @ A.reshape(A.shape[0], -1)
+    return out.reshape([n for A in cores for n in A.shape[1:-1]])
 
 
 def mps_from_tensor(T: np.ndarray, Dmax: int | None = None) -> MPS:
@@ -91,17 +91,6 @@ def mps_from_tensor(T: np.ndarray, Dmax: int | None = None) -> MPS:
     return MPS(cores)
 
 
-class OpCounter:
-    """Multiply-add telemetry for contraction schedules."""
-
-    def __init__(self):
-        self.ops = 0
-
-    def matmul(self, A, B):
-        self.ops += A.shape[0] * A.shape[1] * B.shape[-1]
-        return A @ B
-
-
 def mps_norm(mps: MPS, scheme: str = "sequential",
              return_ops: bool = False):
     """L2 norm of the encoded tensor.
@@ -109,16 +98,16 @@ def mps_norm(mps: MPS, scheme: str = "sequential",
     naive: dense reconstruction, exponential in N;
     parallel: binary tree over D^2 x D^2 transfer matrices,
     O(log N * D^6) depth;
-    sequential: left-to-right boundary sweep, O(N d D^3)."""
-    ctr = OpCounter()
+    sequential: left-to-right boundary sweep, O(N d D^3).
+    Ops count multiply-adds, a * b * c per (a, b) @ (b, c) product."""
+    ops = 0
     if scheme == "naive":
-        out = mps.tensors[0][0]
+        rows = mps.tensors[0].shape[1]  # rows of each product in _chain
         for A in mps.tensors[1:]:
-            mat = out.reshape(-1, A.shape[0])
-            out = ctr.matmul(mat, A.reshape(A.shape[0], -1))
-        vec = out.ravel()
-        ctr.ops += vec.size
-        val = float(np.linalg.norm(vec))
+            ops += rows * A.size
+            rows *= A.shape[1]
+        ops += rows  # one per entry of the dense tensor
+        val = float(np.linalg.norm(_chain(mps.tensors)))
     elif scheme == "parallel":
         mats = []
         for A in mps.tensors:
@@ -127,26 +116,24 @@ def mps_norm(mps: MPS, scheme: str = "sequential",
             E = np.einsum("ldr,LdR->lLrR", A.conj(), A).reshape(
                 Dl * Dl, Dr * Dr
             )
-            ctr.ops += Dl * Dl * Dr * Dr * d
+            ops += Dl * Dl * Dr * Dr * d
             mats.append(E)
         while len(mats) > 1:
-            nxt = []
-            for i in range(0, len(mats) - 1, 2):
-                nxt.append(ctr.matmul(mats[i], mats[i + 1]))
-            if len(mats) % 2:
-                nxt.append(mats[-1])
-            mats = nxt
+            pairs = list(zip(mats[::2], mats[1::2]))
+            ops += sum(a.size * b.shape[1] for a, b in pairs)
+            mats = [a @ b for a, b in pairs] + mats[2 * len(pairs):]
         val = float(np.sqrt(max(mats[0][0, 0].real, 0.0)))
     elif scheme == "sequential":
         L = np.ones((1, 1), dtype=complex)
         for A in mps.tensors:
             Dl, d, Dr = A.shape
-            tmp = ctr.matmul(L, A.reshape(Dl, d * Dr)).reshape(Dl * d, Dr)
-            L = ctr.matmul(A.conj().reshape(Dl * d, Dr).T, tmp)
+            ops += A.size * (Dl + Dr)
+            tmp = (L @ A.reshape(Dl, d * Dr)).reshape(Dl * d, Dr)
+            L = A.conj().reshape(Dl * d, Dr).T @ tmp
         val = float(np.sqrt(max(L[0, 0].real, 0.0)))
     else:
         raise BadParameter(f"unknown scheme {scheme!r}")
-    return (val, ctr.ops) if return_ops else val
+    return (val, ops) if return_ops else val
 
 
 # --- graph coloring ----------------------------------------------------------
@@ -237,9 +224,16 @@ class ProjectorMPS:
     by its cores alone: (Dl, d_in, d, Dr) carries an output leg and
     (Dl, d_in, Dr) is a bond carrier. With outputs on every S-th site the
     rank is at most d^{floor(N/S)}, so the kernel has at least
-    d^N - d^{floor(N/S)} >= d^{N - floor(N/S)} dimensions."""
+    d^N - d^{floor(N/S)} >= d^{N - floor(N/S)} dimensions. Cores of other
+    shapes, or whose bonds do not chain, raise DimensionMismatch."""
 
     cores: list
+
+    def __post_init__(self):
+        d = self.cores[0].shape[1:2] if self.cores else ()
+        if not d or any(c.shape[1:-1] not in (d, d * 2) for c in self.cores):
+            raise DimensionMismatch("cores must be (Dl, d, [d,] Dr)")
+        MPS([c.reshape(c.shape[0], -1, c.shape[-1]) for c in self.cores])
 
     @property
     def n_sites(self) -> int:
@@ -278,14 +272,13 @@ def projector_to_dense(model: ProjectorMPS) -> np.ndarray:
     """Dense (d^{#outputs}, d^N) matrix of the projector map, indices
     big-endian over sites (small N only): the cores contracted over their
     bonds, output legs moved ahead of the input legs."""
-    T = np.ones(1)
     ins, outs = [], []
     for core in model.cores:
-        ins.append(T.ndim - 1)
+        ins.append(len(ins) + len(outs))  # the axis of its input leg
         if core.ndim == 4:
-            outs.append(T.ndim)
-        T = np.tensordot(T, core, axes=(-1, 0))
-    return T[..., 0].transpose(outs + ins).reshape(model.d ** len(outs), -1)
+            outs.append(ins[-1] + 1)
+    T = _chain(model.cores).transpose(outs + ins)
+    return T.reshape(model.d ** len(outs), -1)
 
 
 def projector_frobenius(model: ProjectorMPS) -> float:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import simcore as sc
 from .errors import (BadParameter, DimensionMismatch, IntegratorDiverged,
-                     TargetOutOfRange, _check_counts)
+                     TargetOutOfRange, _check_close, _check_counts)
 
 
 @dataclass
@@ -58,15 +58,14 @@ class ParamCircuit:
                 psi = psi @ layer.fixed.T
             if len(layer.generator) == 1:  # e^{-iaP} = cos a - i sin a P
                 label, c = layer.generator[0]
-                if not np.isclose(c, np.conj(c), atol=1e-10):
-                    raise BadParameter(f"coefficient {c!r} is not real")
+                _check_close(c, np.conj(c), 1e-10,
+                             f"coefficient {c!r} is not real")
                 a = (np.real(c) * th)[:, None]
                 psi = np.cos(a) * psi - 1j * np.sin(a) * sc.apply_pauli(
                     psi, label)
             else:
                 G = sc.pauli_reconstruct(layer.generator, self.n)
-                if not np.allclose(G, G.conj().T, atol=1e-10):
-                    raise BadParameter("generator is not Hermitian")
+                _check_close(G, G.conj().T, 1e-10, "generator is not Hermitian")
                 w, V = np.linalg.eigh(G)
                 psi = ((psi @ V.conj()) * np.exp(-1j * th[:, None] * w)) @ V.T
         return psi if np.ndim(theta) == 2 else psi[0]
@@ -184,12 +183,12 @@ def stochastic_parameter_shift(circ: ParamCircuit, t: int, label: str,
     return GradientEstimate(float(g.mean()), float(stderr), samples)
 
 
-def exact_x_gradient(circ: ParamCircuit, t: int, label: str, theta, O,
-                     psi0=None) -> float:
-    """Deterministic dC/dx_{t,label} by 64-point Gauss-Legendre quadrature
-    of the shift-rule integrand (oracle for the stochastic estimator)."""
+def exact_x_gradient(circ: ParamCircuit, t: int, label: str, theta,
+                     O) -> float:
+    """Deterministic dC/dx_{t,label} from |0..0>: 64-point Gauss-Legendre
+    quadrature of the shift-rule integrand (the stochastic rule's oracle)."""
     nodes, weights = np.polynomial.legendre.leggauss(64)  # on [-1, 1]
-    g = _shift_integrand(circ, theta, O, psi0, t, label, (nodes + 1) / 2)
+    g = _shift_integrand(circ, theta, O, None, t, label, (nodes + 1) / 2)
     return float(weights @ g) / 2
 
 
@@ -862,8 +861,7 @@ def adiabatic_follow(H0, H1, T: float, schedule=None):
                                 f"shape, at least 2 x 2, got {H0.shape} "
                                 f"and {H1.shape}")
     for name, M in (("H0", H0), ("H1", H1)):
-        if not np.allclose(M, M.conj().T, atol=1e-10):
-            raise BadParameter(f"{name} is not Hermitian")
+        _check_close(M, M.conj().T, 1e-10, f"{name} is not Hermitian")
     if not (math.isfinite(T) and T > 0):
         raise BadParameter(f"T must be finite and > 0, got {T!r}")
     lam = schedule or (lambda s: s)
@@ -935,9 +933,8 @@ def variational_classifier(state_fn, projectors, X, y, theta0,
 
     Returns (theta, loss history, training accuracy)."""
     projectors = [np.asarray(P, dtype=complex) for P in projectors]
-    total = sum(projectors)
-    if not np.allclose(total, np.eye(total.shape[0]), atol=1e-10):
-        raise BadParameter("projectors do not sum to identity")
+    _check_close(sum(projectors), np.eye(len(projectors[0])), 1e-10,
+                 "projectors do not sum to identity")
 
     def probs(xi, th):
         psi = state_fn(xi, th)

@@ -477,6 +477,33 @@ class TestRun:
             "20000,-0.1946000000000001,"
             "0.011499999999999955,-0.18878992437612951,0.012544863911874322",
         ],
+        "kernels": [
+            "# config_hash=9865b5a0e3fd7eea",
+            "# experiment=kernels",
+            "# seed=11",
+            "# version=0.1.0",
+            "M,model_complexity,effective_dimension",
+            "8,26.345232096651603,8",
+        ],
+        "mps-norm-bench": [
+            "# config_hash=e727c9f6718e0cc6",
+            "# experiment=mps-norm-bench",
+            "# seed=11",
+            "# version=0.1.0",
+            "N,D,scheme,norm,ops",
+            "4,4,naive,25.58160452781116,272",
+            "4,4,parallel,25.581604527811162,1616",
+            "4,4,sequential,25.58160452781116,592",
+            "6,4,naive,201.87903919857052,1280",
+            "6,4,parallel,201.87903919857052,6992",
+            "6,4,sequential,201.87903919857052,1104",
+            "8,4,naive,3482.3194290731276,5312",
+            "8,4,parallel,3482.319429073127,12368",
+            "8,4,sequential,3482.3194290731262,1616",
+            "10,4,naive,10463.453160675408,21440",
+            "10,4,parallel,10463.45316067541,21584",
+            "10,4,sequential,10463.453160675412,2128",
+        ],
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))

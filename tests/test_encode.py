@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from qdesk import encode, simcore as sc
+from qdesk import encode, qprob, simcore as sc
 from qdesk.errors import BadParameter, DimensionMismatch
 
 
@@ -56,6 +56,16 @@ class TestQsamplePhase:
     def test_qsample_length_check(self):
         with pytest.raises(DimensionMismatch, match="a power of two"):
             encode.qsample_encode([0.5, 0.25, 0.25])
+
+    def test_qsample_takes_the_probability_vector_rule(self):
+        # qprob.check_prob_vector's rule: entries down to -1e-12 pass and
+        # are clipped to 0
+        p = [0.5, 0.5 + 1e-13, -1e-13, 0.0]
+        assert qprob.shannon_entropy(p) == pytest.approx(1.0)
+        assert np.array_equal(encode.qsample_encode(p),
+                              np.sqrt([0.5, 0.5 + 1e-13, 0.0, 0.0]))
+        with pytest.raises(BadParameter, match="negative probability"):
+            encode.qsample_encode([0.5, 0.5 + 1e-11, -1e-11, 0.0])
 
     def test_phase_kernel(self):
         rng = np.random.default_rng(0)
@@ -183,6 +193,18 @@ class TestFourierFit:
             encode.off_spectrum_power(f, [-0.5, 0, 0.5])
         with pytest.raises(ValueError, match="integer-valued"):
             encode.fit_fourier_coefficients(f, [-0.5, 0, 0.5])
+
+    def test_fit_and_off_spectrum_power_share_one_grid(self):
+        # frequency 7 aliased onto -2 on the fit's former 9-point grid,
+        # which returned |c_2| = 0.75 without raising
+        f = lambda x: np.cos(2 * x) + 0.5 * np.cos(7 * x)  # noqa: E731
+        assert encode.off_spectrum_power(f, [-2, 0, 2]) == \
+            pytest.approx(0.125, abs=1e-12)
+        with pytest.raises(BadParameter, match="off-spectrum power 1.250e-01"):
+            encode.fit_fourier_coefficients(f, [-2, 0, 2])
+        g = lambda x: np.cos(2 * x)  # noqa: E731
+        coeffs = encode.fit_fourier_coefficients(g, [-2, 0, 2])
+        assert coeffs[2] == pytest.approx(0.5, abs=1e-12)
 
     def test_aliasing_detected(self):
         # fitting on a spectrum that misses the model's frequencies

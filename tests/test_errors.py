@@ -4,9 +4,10 @@ import ast
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qdesk import errors
+from qdesk import algos, errors, qkernel, qprob, simcore, varqml
 
 SRC = Path(errors.__file__).resolve().parent
 
@@ -39,3 +40,56 @@ def test_every_raise_names_a_qdesk_error(path):
         # `raise SystemExit(main())` is the exit of `python -m qdesk.cli`
         assert name.id in CLASSES or name.id == "SystemExit", \
             f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+
+
+def _classifier(projectors):
+    return varqml.variational_classifier(
+        lambda x, th: simcore.basis_state(1), projectors, [0.0], [0],
+        [0.0], epochs=1)
+
+
+def _circuit_state(generator):
+    return varqml.ParamCircuit(1, [varqml.Layer(generator)]).state([0.3])
+
+
+# Each input is off by more than the check's tolerance but by less than
+# numpy's default relative slack of 1e-5, which the checks used to admit.
+INSIDE_RTOL = {
+    "qpe_protocol": lambda: algos.qpe_matrix_multiply(
+        np.array([[0.5, 0.4], [0.4 + 4e-6, 0.5]]), np.array([1.0, 0.0])),
+    "gram_matrix": lambda: qkernel.GramMatrix(
+        np.array([[1.0, 0.5], [0.5 + 4e-6, 1.0]])),
+    "density_matrix": lambda: qprob.check_density_matrix(
+        np.array([[0.5, 0.45], [0.45 + 4e-6, 0.5]])),
+    "projector": lambda: qprob.measurement_update(
+        np.eye(2) / 2, np.diag([1 + 5e-6, 0.0])),
+    "kraus": lambda: simcore.kraus_apply(
+        np.eye(2) / 2, [np.sqrt(1 + 5e-6) * np.eye(2)]),
+    "exp_hamiltonian": lambda: simcore.exp_hamiltonian(
+        np.array([[0.0, 1000.0], [1000.009, 0.0]]), 0.1),
+    "real_coefficient": lambda: _circuit_state([("X", 1 + 4e-6j)]),
+    "hermitian_generator": lambda: _circuit_state(
+        [("X", 1 + 4e-6j), ("Z", 1.0)]),
+    "adiabatic_hamiltonian": lambda: varqml.adiabatic_follow(
+        np.array([[0.0, 1.0], [1 + 4e-6, 0.0]]), simcore.Z, 1.0),
+    "classifier_projectors": lambda: _classifier(
+        [np.diag([1 + 5e-6, 0.0]), np.diag([0.0, 1.0])]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INSIDE_RTOL))
+def test_closeness_checks_have_no_relative_slack(case):
+    with pytest.raises(errors.BadParameter):
+        INSIDE_RTOL[case]()
+
+
+def test_is_unitary_has_no_relative_slack():
+    assert not simcore.is_unitary(np.diag([1.0, 1 + 5e-6]))
+    assert simcore.is_unitary(np.diag([1.0, 1 + 1e-11]))
+
+
+def test_closeness_shape_mismatch_is_a_dimension_mismatch():
+    with pytest.raises(errors.DimensionMismatch, match="not symmetric"):
+        qkernel.GramMatrix(np.ones((2, 3)))
+    with pytest.raises(errors.DimensionMismatch, match="sum to identity"):
+        simcore.kraus_apply(np.eye(4) / 4, [np.eye(2)])

@@ -130,7 +130,7 @@ class TestGram:
         rng = np.random.default_rng(5)
         x = rng.normal(size=2)
         gm = qk.gram([x, x, rng.normal(size=2)], PHASE)
-        assert qk.effective_dimension(gm, 1e-10) == 2
+        assert qk.effective_dimension(gm) == 2
         assert np.abs(gm.K[0] - gm.K[1]).max() < 1e-12
 
     def test_random_set_psd(self):
@@ -244,6 +244,13 @@ class TestPowerOfData:
         assert qk.effective_dimension(np.eye(5)) == 5
         assert qk.effective_dimension(np.outer([1, 1], [1, 1])) == 1
 
+    def test_rank_is_the_pseudoinverse_cutoff(self):
+        # s_K reads 1e-8 as zero next to 1000, so d must count rank 1 too
+        K, y = np.diag([1000.0, 1e-8]), np.array([1.0, 1.0])
+        assert qk.model_complexity(K, y) == pytest.approx(1e-3, rel=1e-12)
+        assert qk.effective_dimension(K) == 1
+        assert qk.effective_dimension(np.diag([1000.0, 1e-6])) == 2
+
     def test_low_rank_subspace_dimension(self):
         # amplitude-encoded points confined to a 2-dim subspace span at
         # most 4 density-matrix directions
@@ -254,7 +261,7 @@ class TestPowerOfData:
             v = basis @ rng.normal(size=2)
             X.append(v / np.linalg.norm(v))
         gm = qk.gram(X, AMP)
-        assert qk.effective_dimension(gm, 1e-8) <= 4
+        assert qk.effective_dimension(gm) <= 4
 
     def test_quadratic_regression_reproduces_quantum_labels(self):
         rng = np.random.default_rng(13)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdesk import simcore as sc
+from qdesk import algos, simcore as sc
 from qdesk.errors import (BadParameter, DimensionMismatch, QdeskError,
                           TargetOutOfRange)
 
@@ -247,6 +247,12 @@ class TestMeasurement:
             expect = sc.basis_state(2, 0 if bit == 0 else 3)
             assert np.abs(np.abs(post) - np.abs(expect)).max() < 1e-12
 
+    @pytest.mark.parametrize("state", [np.ones((2, 2)) / 2,
+                                       np.ones((2, 4)) / 2, np.array(1.0)])
+    def test_takes_one_state_vector(self, state):
+        with pytest.raises(DimensionMismatch):
+            sc.measure(state, 0, np.random.default_rng(4))
+
     @pytest.mark.parametrize("qubit", [1.0, True, "0", 2, -1, [0, 1]])
     def test_bad_qubit_raises(self, qubit):
         with pytest.raises(TargetOutOfRange):
@@ -388,6 +394,22 @@ class TestCircuit:
         c2 = sc.circuit_from_json(sc.circuit_to_json(c))
         assert np.array_equal(c.unitary(), c2.unitary())
         assert c2.gate_count() == c.gate_count()
+
+    def test_json_roundtrip_raw_matrices(self):
+        # the QFT's controlled phases are stored as raw matrices
+        c = algos.qft_circuit(4)
+        assert any(op.matrix is not None for op in c.ops)
+        c2 = sc.circuit_from_json(sc.circuit_to_json(c))
+        assert np.array_equal(c.unitary(), c2.unitary())
+
+    @pytest.mark.parametrize("text", [
+        '{"n": 2}', '{"ops": []}', '[1]', '{"n": 2, "ops": {}}',
+        '{"n": 2, "ops": [1]}', '{"n": 2, "ops": [{"gate": "H"}]}',
+        '{"n": 2, "ops": [{"targets": [0]}]}', 'not json', '',
+    ])
+    def test_malformed_json_raises_bad_parameter(self, text):
+        with pytest.raises(BadParameter):
+            sc.circuit_from_json(text)
 
     def test_run_deterministic_per_seed(self):
         c = self._sample_circuit()

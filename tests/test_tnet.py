@@ -285,6 +285,20 @@ class TestProjector:
             assert np.linalg.norm(P @ phi) == pytest.approx(
                 tnet.anomaly_score(model, x), abs=1e-12)
 
+    @pytest.mark.parametrize("shapes", [
+        [(1, 2, 3), (2, 2, 2, 1)],  # bonds 3 and 2 do not chain
+        [(1, 2, 2), (2, 2, 2, 2)],  # last bond 2, not 1
+        [(2, 2, 2), (2, 2, 2, 1)],  # first bond 2, not 1
+        [(1, 2, 2), (2, 3, 2, 1)],  # input dimensions 2 and 3
+        [(1, 2, 2), (2, 2, 3, 1)],  # output dimension 3, input 2
+        [(1, 2, 2), (2, 2, 1, 1, 1)],  # five axes
+        [(1, 2), (2, 2, 1)],  # two axes
+        [],
+    ])
+    def test_cores_must_fit(self, shapes):
+        with pytest.raises(DimensionMismatch):
+            tnet.ProjectorMPS([np.ones(s) for s in shapes])
+
     def test_length_mismatch(self):
         model = tnet._random_projector(4, 2, 2, 2, np.random.default_rng(0))
         with pytest.raises(DimensionMismatch):
