@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simcore as sc
-from .errors import (BadParameter, DimensionMismatch, _check_close,
-                     _check_counts)
+from .errors import (BadParameter, DimensionMismatch, _check_counts,
+                     _check_hermitian)
 
 # --- Bell states and teleportation ---------------------------------------
 
@@ -119,10 +119,6 @@ def qft_matrix(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(j, j) / dim) / np.sqrt(dim)
 
 
-def _controlled_phase(theta: float) -> np.ndarray:
-    return np.diag([1, 1, 1, np.exp(1j * theta)]).astype(complex)
-
-
 def qft_circuit(n: int) -> sc.Circuit:
     """H + controlled-phase ladder, then the bit-reversal swaps."""
     circ = sc.Circuit(n)
@@ -131,7 +127,7 @@ def qft_circuit(n: int) -> sc.Circuit:
         for k in range(2, n - q + 1):
             theta = 2 * np.pi / 2**k
             circ.add("CP", [q + k - 1, q], param=theta,
-                     matrix=_controlled_phase(theta))
+                     matrix=sc.controlled(sc.phase(theta)))
     for q in range(n // 2):
         circ.add("SWAP", [q, n - 1 - q])
     return circ
@@ -308,7 +304,7 @@ def _qpe_eigen_filter(A: np.ndarray, x: np.ndarray, f, t_bits: int):
     that each eigenvalue is read as a phase without wrapping. Returns
     (state, p_acc, eigenvalues).
     """
-    _check_close(A, A.conj().T, 1e-10, "protocol expects a Hermitian matrix")
+    _check_hermitian(A, 1e-10, "protocol expects a Hermitian matrix")
     lam, V = np.linalg.eigh(A)
     if lam.min() <= 0 or lam.max() >= 1:
         raise BadParameter(f"eigenvalues must lie in (0, 1), got "

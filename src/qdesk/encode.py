@@ -48,15 +48,16 @@ def bits_of(value: int, width: int) -> tuple[int, ...]:
 
 def amplitude_encode(vectors) -> np.ndarray:
     """(1/sqrt(M)) sum_m sum_j x^m_j |j>|m>, with zero padding to powers
-    of two. Vectors must be unit norm."""
+    of two. Vectors must be unit norm, within 1e-10, or BadParameter is
+    raised; amplitude_encode_with_norm takes the others."""
     vectors = [np.asarray(v, dtype=complex) for v in vectors]
     M = len(vectors)
     N = vectors[0].size
     for v in vectors:
         if v.size != N:
             raise DimensionMismatch("vectors differ in length")
-        if np.linalg.norm(v) < 1e-14:
-            raise BadParameter("zero vector cannot be amplitude encoded")
+        if not abs(np.linalg.norm(v) - 1.0) <= 1e-10:
+            raise BadParameter(f"vector has norm {np.linalg.norm(v)}, not 1")
     n_j = max(1, math.ceil(math.log2(N)))
     n_m = max(0, math.ceil(math.log2(M))) if M > 1 else 0
     out = np.zeros(2 ** (n_j + n_m), dtype=complex)

@@ -44,3 +44,12 @@ def _check_close(a, b, atol: float, message: str):
         raise DimensionMismatch(message)
     if not np.allclose(a, b, rtol=0.0, atol=atol):
         raise BadParameter(message)
+
+
+def _check_hermitian(M, atol: float, message: str):
+    """DimensionMismatch(message) unless M is a square 2-D matrix, then
+    _check_close(M, M^dagger, atol, message)."""
+    M = np.asarray(M)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise DimensionMismatch(message)
+    _check_close(M, M.conj().T, atol, message)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import encode
-from .errors import BadParameter, DimensionMismatch, _check_close
+from .errors import BadParameter, DimensionMismatch, _check_hermitian
 
 PINV_CUTOFF = 1e-10
 
@@ -61,7 +61,7 @@ class GramMatrix:
 
     def __post_init__(self):
         K = np.asarray(self.K, dtype=float)
-        _check_close(K, K.T, 1e-10, "Gram matrix not symmetric")
+        _check_hermitian(K, 1e-10, "Gram matrix not symmetric")
         if np.linalg.eigvalsh(K).min() < -1e-8:
             raise BadParameter("Gram matrix not positive semidefinite")
         self.K = K

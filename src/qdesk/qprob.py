@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import simcore as sc
-from .errors import BadParameter, DimensionMismatch, _check_close
+from .errors import (BadParameter, DimensionMismatch, _check_close,
+                     _check_hermitian)
 
 EIG_CLIP = 1e-14  # spectral floor before taking logs
 MAJ_TOL = 1e-12
@@ -20,16 +21,16 @@ MAJ_TOL = 1e-12
 
 def check_prob_vector(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
-    if np.any(p < -1e-12):
+    if not np.all(p >= -1e-12):  # so that a NaN fails it too
         raise BadParameter("negative probability component")
-    if abs(p.sum() - 1.0) > 1e-12:
+    if not abs(p.sum() - 1.0) <= 1e-12:
         raise BadParameter(f"probabilities sum to {p.sum()}, not 1")
     return np.clip(p, 0.0, None)
 
 
 def check_density_matrix(rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
-    _check_close(rho, rho.conj().T, 1e-12, "density matrix not Hermitian")
+    _check_hermitian(rho, 1e-12, "density matrix not Hermitian")
     if abs(np.trace(rho).real - 1.0) > 1e-12:
         raise BadParameter("density matrix trace != 1")
     if np.linalg.eigvalsh(rho).min() < -1e-10:
@@ -142,12 +143,34 @@ def qubit_relative_entropy_closed_form(tau_a, tau_b) -> float:
     return float(out)
 
 
-def schmidt_decompose(psi, split: tuple[int, int]):
-    """Schmidt form of a bipartite pure state.
+def _svd_cut(M: np.ndarray, Dmax: int | None = None):
+    """(U, s, Vh) of M, keeping the singular values above 1e-14 times the
+    largest: at least one, at most Dmax. The largest-magnitude component
+    of each left vector is made real positive, its phase moved onto the
+    right vector, so a cut is reproducible."""
+    U, s, Vh = np.linalg.svd(M, full_matrices=False)
+    keep = max(int(np.sum(s > s[:1] * 1e-14)), 1)
+    if Dmax is not None:
+        keep = min(keep, Dmax)
+    U, s, Vh = U[:, :keep], s[:keep], Vh[:keep]
+    for k in range(U.shape[1]):
+        col = U[:, k]
+        j = int(np.argmax(np.abs(col)))
+        if abs(col[j]) > 0:
+            ph = col[j] / abs(col[j])
+            U[:, k] *= ph.conjugate()
+            Vh[k, :] *= ph
+    return U, s, Vh
 
-    Returns (lambdas, left_basis, right_basis) with lambdas descending,
-    bases as columns, and a deterministic global-phase fix (first nonzero
-    component of each left vector made real positive).
+
+def schmidt_decompose(psi, split: tuple[int, int]):
+    """Schmidt form of a bipartite pure state, by the cut of
+    tnet.mps_from_tensor.
+
+    Returns (lambdas, left_basis, right_basis) with lambdas descending and
+    summing to 1, bases as columns, and the largest-magnitude component
+    of each left vector real positive. A state whose norm is off 1 by
+    more than 1e-10 raises BadParameter.
     """
     n_left, n_right = split
     psi = np.asarray(psi, dtype=complex)
@@ -155,15 +178,9 @@ def schmidt_decompose(psi, split: tuple[int, int]):
         raise DimensionMismatch(
             f"state of dim {psi.size} does not split as {split}"
         )
-    M = psi.reshape(2**n_left, 2**n_right)
-    U, s, Vh = np.linalg.svd(M, full_matrices=False)
-    keep = s > 1e-14
-    U, s, Vh = U[:, keep], s[keep], Vh[keep]
-    for i in range(U.shape[1]):
-        j = np.argmax(np.abs(U[:, i]) > 1e-12)
-        ph = U[j, i] / abs(U[j, i])
-        U[:, i] /= ph
-        Vh[i] *= ph
+    if not abs(np.linalg.norm(psi) - 1.0) <= 1e-10:
+        raise BadParameter(f"state has norm {np.linalg.norm(psi)}, not 1")
+    U, s, Vh = _svd_cut(psi.reshape(2**n_left, 2**n_right))
     return s**2, U, Vh.T
 
 

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (BadParameter, DimensionMismatch, TargetOutOfRange,
-                     _check_close)
+                     _check_close, _check_hermitian)
 
 # Fixed gate matrices
 I2 = np.eye(2, dtype=complex)
@@ -154,11 +154,7 @@ def _gate_plan(shape: tuple, gate_shape: tuple, targets: tuple):
                 f"gate of shape {gate_shape} does not act on {k} qubits"
             )
         batch_at, front = (k if batch else None), (2**k, -1)
-    for q in targets:
-        if not 0 <= q < n:
-            raise TargetOutOfRange(f"qubit {q} out of range for n={n}")
-    if len(set(targets)) != len(targets):
-        raise TargetOutOfRange("duplicate target qubits")
+    _op_targets(n, targets)
     axes = list(targets) + [q for q in range(n) if q not in targets]
     if batch_at is not None:
         axes = [q + 1 for q in axes]
@@ -228,9 +224,7 @@ def measure(state: np.ndarray, qubit: int, rng: np.random.Generator):
     if np.ndim(state) != 1:
         raise DimensionMismatch(f"state of shape {np.shape(state)}")
     n = n_qubits(state.size)
-    (qubit,) = _qubits((qubit,))
-    if not 0 <= qubit < n:
-        raise TargetOutOfRange(f"qubit {qubit} out of range for n={n}")
+    (qubit,) = _op_targets(n, _qubits((qubit,)))
     psi = state.reshape([2] * n)
     p1 = float(np.sum(np.abs(np.take(psi, 1, axis=qubit)) ** 2))
     bit = 1 if rng.random() < p1 else 0
@@ -330,7 +324,7 @@ def pauli_reconstruct(terms, n: int) -> np.ndarray:
 
 def exp_hamiltonian(Hm: np.ndarray, t: float) -> np.ndarray:
     """exp(-i H t) by exact eigendecomposition."""
-    _check_close(Hm, Hm.conj().T, 1e-10, "input is not Hermitian")
+    _check_hermitian(Hm, 1e-10, "input is not Hermitian")
     w, V = np.linalg.eigh(Hm)
     return (V * np.exp(-1j * w * t)) @ V.conj().T
 

@@ -13,20 +13,8 @@ import numpy as np
 
 from .errors import (BadParameter, DimensionMismatch, TargetOutOfRange,
                      _check_counts)
+from .qprob import _svd_cut
 from .varqml import _row_differences
-
-
-def _sign_fix(U: np.ndarray, Vh: np.ndarray):
-    """Make the largest-magnitude component of each left singular vector
-    real positive so decompositions are reproducible."""
-    for k in range(U.shape[1]):
-        col = U[:, k]
-        j = int(np.argmax(np.abs(col)))
-        if abs(col[j]) > 0:
-            ph = col[j] / abs(col[j])
-            U[:, k] *= ph.conjugate()
-            Vh[k, :] *= ph
-    return U, Vh
 
 
 @dataclass
@@ -65,29 +53,19 @@ def _chain(cores) -> np.ndarray:
 
 def mps_from_tensor(T: np.ndarray, Dmax: int | None = None) -> MPS:
     """Successive reshape-and-SVD factorization, keeping at most Dmax
-    singular values per cut."""
+    singular values per cut (qprob._svd_cut, as schmidt_decompose)."""
     T = np.asarray(T, dtype=complex)
-    dims = list(T.shape)
-    N = len(dims)
-    if N < 2:
+    if T.ndim < 2:
         raise DimensionMismatch("need at least two legs")
     cores = []
     rest = T.reshape(1, -1)
     left = 1
-    for j in range(N - 1):
-        d = dims[j]
-        mat = rest.reshape(left * d, -1)
-        U, s, Vh = np.linalg.svd(mat, full_matrices=False)
-        keep = int(np.sum(s > s[0] * 1e-14)) if s.size else 1
-        keep = max(keep, 1)
-        if Dmax is not None:
-            keep = min(keep, Dmax)
-        U, s, Vh = U[:, :keep], s[:keep], Vh[:keep]
-        U, Vh = _sign_fix(U, Vh)
-        cores.append(U.reshape(left, d, keep))
-        rest = (s[:, None] * Vh)
-        left = keep
-    cores.append(rest.reshape(left, dims[-1], 1))
+    for d in T.shape[:-1]:
+        U, s, Vh = _svd_cut(rest.reshape(left * d, -1), Dmax)
+        cores.append(U.reshape(left, d, len(s)))
+        rest = s[:, None] * Vh
+        left = len(s)
+    cores.append(rest.reshape(left, T.shape[-1], 1))
     return MPS(cores)
 
 
@@ -236,36 +214,23 @@ class ProjectorMPS:
         MPS([c.reshape(c.shape[0], -1, c.shape[-1]) for c in self.cores])
 
     @property
-    def n_sites(self) -> int:
-        return len(self.cores)
-
-    @property
     def d(self) -> int:
         return self.cores[0].shape[1]
 
     def apply(self, features, return_ops: bool = False):
-        """Contract the input legs with per-site feature vectors; returns
-        an MPS over the output legs. Carriers fold into the next output
-        core, trailing ones into the last (1 x 1 x 1 if there is none)."""
-        out_cores = []
-        carry = None  # product of the carriers since the last output core
-        ops = 0
-        for core, phi in zip(self.cores, features):
-            A = np.tensordot(core, phi, axes=(1, 0))  # (Dl, [d_out,] Dr)
-            ops += core.size
-            if carry is not None:
-                ops += carry.shape[0] * A.size
-                A = (carry @ A.reshape(len(A), -1)).reshape(-1, *A.shape[1:])
-            if A.ndim == 3:
-                out_cores.append(A)
-            carry = A if A.ndim == 2 else None
-        if carry is not None and out_cores:
-            ops += out_cores[-1].size * carry.shape[1]
-            out_cores[-1] = np.tensordot(out_cores[-1], carry, axes=(2, 0))
-        elif carry is not None:
-            out_cores = [carry.reshape(1, 1, 1)]
-        mps = MPS(out_cores)
-        return (mps, ops) if return_ops else mps
+        """Contract the input leg of each core with its site's feature
+        vector; returns the MPS of the results, (Dl, d, Dr) at an output
+        site and (Dl, 1, Dr) at a carrier. Anything but one length-d
+        feature vector per site raises DimensionMismatch. Ops count the
+        multiply-adds, one per core entry."""
+        if len(features) != len(self.cores) or any(
+                np.shape(phi) != (self.d,) for phi in features):
+            raise DimensionMismatch(f"need {len(self.cores)} feature "
+                                    f"vectors of length {self.d}")
+        out = [np.tensordot(c, phi, axes=(1, 0))  # (Dl, [d_out,] Dr)
+               for c, phi in zip(self.cores, features)]
+        mps = MPS([A.reshape(len(A), -1, A.shape[-1]) for A in out])
+        return (mps, sum(c.size for c in self.cores)) if return_ops else mps
 
 
 def projector_to_dense(model: ProjectorMPS) -> np.ndarray:
@@ -290,10 +255,7 @@ def projector_frobenius(model: ProjectorMPS) -> float:
 
 def anomaly_score(model: ProjectorMPS, x, return_ops: bool = False):
     """||P Phi(x)||_2 by sequential contraction."""
-    feats = _features([x], model.d)[0]
-    if len(feats) != model.n_sites:
-        raise DimensionMismatch("sample length does not match model")
-    out, ops1 = model.apply(feats, return_ops=True)
+    out, ops1 = model.apply(_features([x], model.d)[0], return_ops=True)
     val, ops2 = mps_norm(out, "sequential", return_ops=True)
     return (val, ops1 + ops2) if return_ops else val
 

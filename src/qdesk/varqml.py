@@ -20,7 +20,8 @@ import numpy as np
 
 from . import simcore as sc
 from .errors import (BadParameter, DimensionMismatch, IntegratorDiverged,
-                     TargetOutOfRange, _check_close, _check_counts)
+                     TargetOutOfRange, _check_close, _check_counts,
+                     _check_hermitian)
 
 
 @dataclass
@@ -65,7 +66,7 @@ class ParamCircuit:
                     psi, label)
             else:
                 G = sc.pauli_reconstruct(layer.generator, self.n)
-                _check_close(G, G.conj().T, 1e-10, "generator is not Hermitian")
+                _check_hermitian(G, 1e-10, "generator is not Hermitian")
                 w, V = np.linalg.eigh(G)
                 psi = ((psi @ V.conj()) * np.exp(-1j * th[:, None] * w)) @ V.T
         return psi if np.ndim(theta) == 2 else psi[0]
@@ -861,7 +862,7 @@ def adiabatic_follow(H0, H1, T: float, schedule=None):
                                 f"shape, at least 2 x 2, got {H0.shape} "
                                 f"and {H1.shape}")
     for name, M in (("H0", H0), ("H1", H1)):
-        _check_close(M, M.conj().T, 1e-10, f"{name} is not Hermitian")
+        _check_hermitian(M, 1e-10, f"{name} is not Hermitian")
     if not (math.isfinite(T) and T > 0):
         raise BadParameter(f"T must be finite and > 0, got {T!r}")
     lam = schedule or (lambda s: s)

@@ -236,6 +236,14 @@ class TestParamBoundary:
         out = capsys.readouterr().out
         assert "eta_grid value nan" in out and "eta_grid value inf" in out
 
+    def test_list_param_given_a_scalar(self, tmp_path, capsys):
+        path, _ = write_cfg(tmp_path, experiment="landau-zener",
+                            params={"eta_grid": 0.5})
+        assert cli.main(["validate", "--config", str(path)]) == 2
+        assert "eta_grid must be a list" in capsys.readouterr().out
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert "eta_grid must be a list" in capsys.readouterr().err
+
     @pytest.mark.parametrize("name,params", [
         ("landau-zener", {"eta_grid": [0.05, 1.5]}),
         ("grover", {"n": 3, "marked": [0, 7]}),
@@ -633,6 +641,17 @@ class TestRun:
         path.write_text("[1, 2]")
         assert cli.main(["run", "--config", str(path), "--seed", "3"]) == 2
         assert "config must be a JSON object" in capsys.readouterr().err
+
+    def test_seed_flag_matches_a_config_holding_that_seed(self, tmp_path,
+                                                          capsys):
+        path, _ = write_cfg(tmp_path, experiment="grover", seed=42)
+        assert cli.main(["run", "--config", str(path), "--seed", "43"]) == 0
+        flagged = capsys.readouterr().out
+        held, _ = write_cfg(tmp_path, "held.json", experiment="grover",
+                            seed=43)
+        assert cli.main(["run", "--config", str(held)]) == 0
+        assert "# seed=43" in flagged.splitlines()
+        assert flagged == capsys.readouterr().out
 
     def test_run_malformed_json_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -47,6 +47,17 @@ class TestAmplitudeEncode:
             encode.amplitude_encode_with_norm(np.zeros(3))
 
 
+    @pytest.mark.parametrize("v", [[1, 1], [0, 0], [1 + 2e-10, 0],
+                                   [np.nan, 1]])
+    def test_vectors_must_be_unit_norm(self, v):
+        with pytest.raises(BadParameter, match="not 1"):
+            encode.amplitude_encode([[1, 0], v])
+
+    def test_norm_within_tolerance_passes(self):
+        psi = encode.amplitude_encode([[1 + 5e-11, 0]])
+        assert psi[0] == 1 + 5e-11
+
+
 class TestQsamplePhase:
     def test_qsample_measurement_law(self):
         p = np.array([0.1, 0.2, 0.3, 0.4])
@@ -66,6 +77,10 @@ class TestQsamplePhase:
                               np.sqrt([0.5, 0.5 + 1e-13, 0.0, 0.0]))
         with pytest.raises(BadParameter, match="negative probability"):
             encode.qsample_encode([0.5, 0.5 + 1e-11, -1e-11, 0.0])
+
+    def test_qsample_rejects_nan(self):
+        with pytest.raises(BadParameter):
+            encode.qsample_encode([np.nan, 0.5, 0.5, 0.0])
 
     def test_phase_kernel(self):
         rng = np.random.default_rng(0)

@@ -93,3 +93,50 @@ def test_closeness_shape_mismatch_is_a_dimension_mismatch():
         qkernel.GramMatrix(np.ones((2, 3)))
     with pytest.raises(errors.DimensionMismatch, match="sum to identity"):
         simcore.kraus_apply(np.eye(4) / 4, [np.eye(2)])
+
+
+# Each input is not a square matrix, so the Hermitian check raises before
+# numpy's trace, eigh or eigvalsh sees it.
+NOT_SQUARE = {
+    "exp_hamiltonian": lambda: simcore.exp_hamiltonian(np.ones(3), 1.0),
+    "qpe_protocol": lambda: algos.qpe_matrix_multiply(
+        np.array([0.5, 0.5]), np.array([1.0, 0.0])),
+    "density_matrix": lambda: qprob.check_density_matrix(np.ones(2) / 2),
+    "von_neumann_entropy": lambda: qprob.von_neumann_entropy(
+        np.ones((2, 2, 2)) / 4),
+    "gram_matrix": lambda: qkernel.GramMatrix(np.array([1.0, 2.0])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_SQUARE))
+def test_hermitian_checks_need_a_square_matrix(case):
+    with pytest.raises(errors.DimensionMismatch):
+        NOT_SQUARE[case]()
+
+
+@pytest.mark.parametrize("M", [np.ones(2), np.ones((2, 3)),
+                               np.ones((2, 2, 2)), np.ones((0, 1))])
+def test_check_hermitian_shapes(M):
+    with pytest.raises(errors.DimensionMismatch, match="^msg$"):
+        errors._check_hermitian(M, 1e-10, "msg")
+
+
+def test_check_hermitian_values():
+    errors._check_hermitian(np.array([[1.0, 2j], [-2j, 0.0]]), 0.0, "msg")
+    errors._check_hermitian(np.zeros((0, 0)), 0.0, "msg")
+    with pytest.raises(errors.BadParameter, match="^msg$"):
+        errors._check_hermitian(np.array([[1.0, 2j], [2j, 0.0]]), 1e-10,
+                                "msg")
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_hermitian_check_is_the_one_rule(path):
+    # no _check_close(M, M.conj().T, ...) or (M, M.T, ...) outside errors.py
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "_check_close"
+                and path.name != "errors.py"):
+            a, b = (ast.unparse(x) for x in node.args[:2])
+            assert b not in (f"{a}.conj().T", f"{a}.T"), \
+                f"{path.name}:{node.lineno}: {ast.unparse(node)}"

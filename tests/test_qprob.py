@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdesk import qprob, simcore as sc
+from qdesk import qprob, simcore as sc, tnet
 from qdesk.errors import BadParameter
 
 
@@ -44,6 +44,12 @@ class TestShannon:
             pytest.approx(np.log(2), abs=1e-12)
 
 
+    def test_nan_rejected(self):
+        # a NaN drops out of the p > 0 mask, so it must fail the check
+        with pytest.raises(BadParameter, match="negative probability"):
+            qprob.shannon_entropy([np.nan, 0.5, 0.5])
+
+
 class TestRelativeEntropy:
     def test_worked_example(self):
         # D((1/2,1/4,1/8,1/8) || uniform) = 2 - 1.75 = 0.25 bits
@@ -68,6 +74,11 @@ class TestRelativeEntropy:
         assert qprob.relative_entropy(p, q) >= -1e-12
 
 
+    def test_nan_rejected(self):
+        with pytest.raises(BadParameter):
+            qprob.relative_entropy([np.nan, 1.0], [0.5, 0.5])
+
+
 class TestMajorization:
     def test_uniform_is_bottom(self):
         # any distribution majorizes the uniform one
@@ -86,6 +97,15 @@ class TestMajorization:
         a = [0.5, 0.5]
         b = [0.5 + 5e-13, 0.5 - 5e-13]
         assert qprob.majorizes(a, b, tol=1e-12)
+
+    def test_unequal_totals_never_majorize(self):
+        assert not qprob.majorizes([0.6, 0.5], [0.5, 0.5])
+        assert not qprob.majorizes([0.5, 0.5], [0.6, 0.5])
+
+    def test_one_way_orders(self):
+        a, b = [0.7, 0.2, 0.1], [0.5, 0.3, 0.2]
+        assert qprob.majorization_compare(a, b) == "first"
+        assert qprob.majorization_compare(b, a) == "second"
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=30, deadline=None)
@@ -191,6 +211,30 @@ class TestSchmidt:
         left = qprob.partial_trace(rho, keep=[0], dims=[2, 4])
         w = np.sort(np.linalg.eigvalsh(left))[::-1]
         assert np.allclose(np.sort(lam)[::-1], w, atol=1e-10)
+
+
+    @pytest.mark.parametrize("psi", [[1, 0, 0, 1], [0, 0, 0, 0],
+                                     [1 + 2e-10, 0, 0, 0], [np.nan, 0, 0, 1]])
+    def test_state_must_be_unit_norm(self, psi):
+        with pytest.raises(BadParameter, match="not 1"):
+            qprob.schmidt_decompose(psi, (1, 1))
+
+    def test_shares_the_mps_cut(self):
+        # one cut rule: the same singular values and phases, bit for bit
+        rng = np.random.default_rng(8)
+        for n_l, n_r in [(1, 1), (1, 2), (2, 2), (3, 1)]:
+            psi = sc.haar_random_state(2 ** (n_l + n_r), rng)
+            lam, U, V = qprob.schmidt_decompose(psi, (n_l, n_r))
+            A, B = tnet.mps_from_tensor(
+                psi.reshape(2**n_l, 2**n_r)).tensors
+            assert np.array_equal(U, A[0])
+            assert np.abs(np.sqrt(lam)[:, None] * V.T - B[..., 0]).max() \
+                < 1e-15
+            # the largest-magnitude component of each left vector is real
+            # positive, up to the rounding of the phase division
+            top = np.abs(U).argmax(axis=0)
+            lead = U[top, np.arange(U.shape[1])]
+            assert np.abs(lead.imag).max() < 1e-15 and np.all(lead.real > 0)
 
 
 class TestPartialTraceAndCollapse:

@@ -53,6 +53,15 @@ class TestGateApplication:
             circ.add("H", [bad])
         assert np.array_equal(circ.run(psi)[0], ref)
 
+    @pytest.mark.parametrize("targets", [(), (0, 0), (-1,)])
+    def test_targets_take_the_circuit_rule(self, targets):
+        # apply_gate and Circuit.add reject the same target lists
+        gate = np.eye(2 ** len(targets), dtype=complex)
+        with pytest.raises(TargetOutOfRange):
+            sc.apply_gate(sc.basis_state(3), gate, targets)
+        with pytest.raises(TargetOutOfRange):
+            sc.Circuit(3).add("U", targets, matrix=gate)
+
     def test_density_channel_consistent(self):
         rng = np.random.default_rng(1)
         psi = sc.haar_random_state(8, rng)
@@ -410,6 +419,13 @@ class TestCircuit:
     def test_malformed_json_raises_bad_parameter(self, text):
         with pytest.raises(BadParameter):
             sc.circuit_from_json(text)
+
+    def test_measurement_needs_a_run_with_an_rng(self):
+        c = self._sample_circuit().add("measure", [0])
+        with pytest.raises(BadParameter, match="has no unitary"):
+            c.unitary()
+        with pytest.raises(BadParameter, match="requires an rng"):
+            c.run()
 
     def test_run_deterministic_per_seed(self):
         c = self._sample_circuit()

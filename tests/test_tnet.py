@@ -119,6 +119,13 @@ class TestColorings:
                 assert tnet.count_colorings(edges, n, d) == \
                     tnet.count_colorings_brute_force(edges, n, d)
 
+    def test_loop_edge_admits_no_coloring(self):
+        assert tnet.count_colorings([(0, 0)], 1, 3) == 0
+        assert tnet.count_colorings_brute_force([(0, 0)], 1, 3) == 0
+        edges = [(0, 1), (2, 2)]
+        assert tnet.count_colorings(edges, 3, 2) == \
+            tnet.count_colorings_brute_force(edges, 3, 2) == 0
+
     def test_complete_graph_falling_factorial(self):
         edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]
         assert tnet.count_colorings(edges, 4, 4) == 4 * 3 * 2 * 1
@@ -303,6 +310,24 @@ class TestProjector:
         model = tnet._random_projector(4, 2, 2, 2, np.random.default_rng(0))
         with pytest.raises(DimensionMismatch):
             tnet.anomaly_score(model, [0.1, 0.2])
+
+    @pytest.mark.parametrize("features", [
+        np.ones((5, 2)),  # one vector more than there are sites
+        np.ones((3, 2)), np.ones((4, 3)), np.ones(4), np.ones(0),
+        [np.ones(2)] * 3 + [np.ones(3)],
+    ])
+    def test_apply_takes_one_feature_vector_per_site(self, features):
+        model = tnet._random_projector(4, 2, 2, 2, np.random.default_rng(0))
+        with pytest.raises(DimensionMismatch):
+            model.apply(features)
+
+    def test_apply_keeps_one_core_per_site(self):
+        # carriers stay in the chain as (Dl, 1, Dr) cores
+        model = tnet._random_projector(5, 2, 3, 2, np.random.default_rng(1))
+        feats = tnet._features([np.linspace(-1, 1, 5)], 3)[0]
+        mps, ops = model.apply(feats, return_ops=True)
+        assert [A.shape[1] for A in mps.tensors] == [1, 3, 1, 3, 1]
+        assert ops == sum(c.size for c in model.cores)
 
     def test_score_ops_linear_in_sites(self):
         rng = np.random.default_rng(12)

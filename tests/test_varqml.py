@@ -827,6 +827,13 @@ class TestAdiabatic:
             ref = np.exp(-2 * np.pi * eta)
             assert abs(p - ref) / ref < 0.05
 
+    def test_landau_zener_without_coupling_always_jumps(self):
+        assert vq.landau_zener(1.0, 0.0) == 1.0
+
+    def test_degenerate_start_diverges(self):
+        with pytest.raises(IntegratorDiverged, match="degenerate"):
+            vq.adiabatic_follow(np.eye(2), sc.X, 1.0)
+
     def test_landau_zener_even_in_delta(self, monkeypatch):
         # the sweep window is sized from |Delta|, so the sign of the
         # coupling changes nothing
