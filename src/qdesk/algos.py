@@ -7,7 +7,6 @@ QPE-based matrix multiplication / inversion plus LCU block encoding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -139,13 +138,6 @@ def qft_unitary(n: int) -> np.ndarray:
 
 # --- phase estimation ------------------------------------------------------
 
-@dataclass
-class QPEResult:
-    phase_estimate: float
-    register_bits: str
-    success_probability: float
-
-
 def qpe_register_amplitudes(phi, n_anc: int) -> np.ndarray:
     """Exact ancilla amplitudes alpha_l after inverse QFT for eigenphase phi.
 
@@ -163,22 +155,6 @@ def qpe_ancilla_bits(t_bits: int, epsilon: float) -> int:
     if not 0 < epsilon < 1:
         raise BadParameter(f"epsilon must lie in (0, 1), got {epsilon!r}")
     return t_bits + math.ceil(math.log2(2 + 1 / (2 * epsilon)))
-
-
-def phase_estimate(U: np.ndarray, eigvec: np.ndarray, t_bits: int,
-                   epsilon: float, rng: np.random.Generator) -> QPEResult:
-    """Sample one run of phase estimation from the exact register law."""
-    w = U @ eigvec
-    phase = np.vdot(eigvec, w)
-    if np.linalg.norm(w - phase * eigvec) > 1e-8:
-        raise BadParameter("state is not an eigenvector of U")
-    phi = float(np.angle(phase) / (2 * np.pi)) % 1.0
-    n_anc = qpe_ancilla_bits(t_bits, epsilon)
-    probs = np.abs(qpe_register_amplitudes(phi, n_anc)) ** 2
-    probs /= probs.sum()
-    m = int(rng.choice(probs.size, p=probs))
-    bits = format(m, f"0{n_anc}b")
-    return QPEResult(m / 2**n_anc, bits, float(probs[m]))
 
 
 def qpe_circuit_distribution(U: np.ndarray, eigvec: np.ndarray,

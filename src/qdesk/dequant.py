@@ -5,14 +5,13 @@ table over the prefix sums (the cutpoint method): O(N) setup, O(1) expected
 work per draw, and for every uniform u the index a binary search of the
 prefix sums would give. Entry and norm queries are O(1). dequant_inner
 estimates x.y (with the convention x.y = sum conj(x_i) y_i) by a median of
-bucketed means, and nearest_centroid builds the sketch-based classifier on
-top of it. A small harness compares the estimator head-to-head with the
-simulated quantum overlap test.
+bucketed means. A small harness compares the estimator head-to-head with
+the simulated quantum overlap test.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -153,13 +152,6 @@ def _sketches(xs: SQVector, r: np.ndarray, cfg: EstimatorConfig,
     return est
 
 
-def estimator_samples(xs: SQVector, y, n: int,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Draws of z = (y_i / x_i) ||x||^2 with i ~ |x_i|^2/||x||^2; each has
-    mean x.y = sum conj(x_i) y_i and variance at most ||x||^2 ||y||^2."""
-    return _ratios(xs, y)[xs.sample(rng, n)]
-
-
 def dequant_inner(xs: SQVector, y, cfg: EstimatorConfig,
                   rng: np.random.Generator) -> complex:
     """Median of bucket means (componentwise over real and imaginary
@@ -197,39 +189,6 @@ def enumerate_estimator_variance(x, y) -> float:
         if p[i] > 0:
             var += p[i] * abs((y[i] / x[i]) * nrm2 - mean) ** 2
     return float(var)
-
-
-# --- nearest centroid ---------------------------------------------------------
-
-def nearest_centroid(train_X, train_y, test_x, cfg=None,
-                     rng: np.random.Generator | None = None):
-    """Classify by smallest ||test - centroid_c||^2, expanded as
-    ||t||^2 - 2 Re(t . c) + ||c||^2 with the cross term estimated by
-    dequant_inner when a config is given (exact otherwise). A config
-    needs an rng to draw from; without one, BadParameter is raised."""
-    if cfg is not None and rng is None:
-        raise BadParameter("nearest_centroid needs an rng with a cfg")
-    test_x = np.asarray(test_x, dtype=complex)
-    labels = sorted(set(train_y))
-    if not labels:
-        raise BadParameter("no training data")
-    xs = SQVector(test_x) if cfg is not None else None
-    best_label, best_d = None, np.inf
-    for lab in labels:
-        members = [np.asarray(v, dtype=complex)
-                   for v, l in zip(train_X, train_y) if l == lab]
-        if not members:
-            raise BadParameter(f"class {lab!r} has no members")
-        c = np.mean(members, axis=0)
-        if cfg is None:
-            cross = np.vdot(test_x, c)
-        else:
-            cross = dequant_inner(xs, c, cfg, rng)
-        d = (np.linalg.norm(test_x) ** 2 - 2 * cross.real
-             + np.linalg.norm(c) ** 2)
-        if d < best_d:
-            best_d, best_label = d, lab
-    return best_label
 
 
 # --- quantum vs dequantized head-to-head ----------------------------------------

@@ -1,25 +1,23 @@
 """Data encodings and the Fourier-spectrum analysis of encoding models.
 
-Covers basis / amplitude / qsample / phase encodings, Hamiltonian-type
-encoding unitaries (single Pauli, parallel and sequential repeats, and the
-exponential encoding with base-3 weights), the frequency spectrum
-Omega = {mu_k - mu_j}, and discrete Fourier coefficient fitting.
+Covers the basis and phase encodings, Hamiltonian-type encoding unitaries
+(single Pauli, parallel and sequential repeats, and the exponential
+encoding with base-3 weights), the frequency spectrum Omega = {mu_k - mu_j},
+and discrete Fourier coefficient fitting.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import qprob
 from . import simcore as sc
 from .errors import BadParameter, DimensionMismatch
 
 
 @dataclass(frozen=True)
 class EncodingSpec:
-    """kind in {basis, amplitude, qsample, phase, pauli, pauli-parallel,
+    """kind in {basis, amplitude, phase, pauli, pauli-parallel,
     pauli-sequential, exponential}; params are kind-specific."""
 
     kind: str
@@ -44,49 +42,6 @@ def basis_encode(samples) -> np.ndarray:
 def bits_of(value: int, width: int) -> tuple[int, ...]:
     """Fixed-width big-endian bit tuple of an unsigned integer."""
     return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
-
-
-def amplitude_encode(vectors) -> np.ndarray:
-    """(1/sqrt(M)) sum_m sum_j x^m_j |j>|m>, with zero padding to powers
-    of two. Vectors must be unit norm, within 1e-10, or BadParameter is
-    raised; amplitude_encode_with_norm takes the others."""
-    vectors = [np.asarray(v, dtype=complex) for v in vectors]
-    M = len(vectors)
-    N = vectors[0].size
-    for v in vectors:
-        if v.size != N:
-            raise DimensionMismatch("vectors differ in length")
-        if not abs(np.linalg.norm(v) - 1.0) <= 1e-10:
-            raise BadParameter(f"vector has norm {np.linalg.norm(v)}, not 1")
-    n_j = max(1, math.ceil(math.log2(N)))
-    n_m = max(0, math.ceil(math.log2(M))) if M > 1 else 0
-    out = np.zeros(2 ** (n_j + n_m), dtype=complex)
-    for m, v in enumerate(vectors):
-        for j in range(N):
-            out[(j << n_m) | m] = v[j]
-    return out / np.sqrt(M)
-
-
-def amplitude_encode_with_norm(x) -> np.ndarray:
-    """Non-unit input: append one component carrying sqrt(1 - ||x||^2)
-    after rescaling so the total is a valid state."""
-    x = np.asarray(x, dtype=complex)
-    nrm = np.linalg.norm(x)
-    if nrm < 1e-14:
-        raise BadParameter("zero vector")
-    scale = max(nrm, 1.0)
-    x = x / scale
-    out = np.concatenate([x, [np.sqrt(max(0.0, 1.0 - np.linalg.norm(x) ** 2))]])
-    pad = 2 ** math.ceil(math.log2(out.size))
-    return np.concatenate([out, np.zeros(pad - out.size)])
-
-
-def qsample_encode(p) -> np.ndarray:
-    """Amplitudes sqrt(p_j); computational-basis measurement samples p."""
-    p = qprob.check_prob_vector(p)
-    if p.size & (p.size - 1):
-        raise DimensionMismatch("length must be a power of two")
-    return np.sqrt(p).astype(complex)
 
 
 def phase_state(x) -> np.ndarray:

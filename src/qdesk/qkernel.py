@@ -31,8 +31,6 @@ def encoding_state(spec: encode.EncodingSpec, x) -> np.ndarray:
         return v / np.linalg.norm(v)
     if spec.kind == "phase":
         return encode.phase_state(x)
-    if spec.kind == "qsample":
-        return encode.qsample_encode(x)
     raise BadParameter(f"no state encoding for kind {spec.kind!r}")
 
 
@@ -62,6 +60,8 @@ class GramMatrix:
     def __post_init__(self):
         K = np.asarray(self.K, dtype=float)
         _check_hermitian(K, 1e-10, "Gram matrix not symmetric")
+        if not K.size:
+            raise BadParameter("Gram matrix of no data points")
         if np.linalg.eigvalsh(K).min() < -1e-8:
             raise BadParameter("Gram matrix not positive semidefinite")
         self.K = K

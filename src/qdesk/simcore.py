@@ -88,6 +88,12 @@ def n_qubits(dim: int) -> int:
 
 
 def basis_state(n: int, index: int = 0) -> np.ndarray:
+    """|index> on n qubits. An index that is not an integer in
+    0..2^n - 1 raises BadParameter before the state is built."""
+    if isinstance(index, bool) or not isinstance(index, (int, np.integer)) \
+            or not 0 <= index < 2**n:
+        raise BadParameter(
+            f"basis index {index!r} is not an integer in 0..{2**n - 1}")
     psi = np.zeros(2**n, dtype=complex)
     psi[index] = 1.0
     return psi
@@ -209,10 +215,6 @@ def expand_gate(gate: np.ndarray, targets, n: int) -> np.ndarray:
     """Dense 2^n x 2^n embedding of a k-qubit gate (for small n): the gate
     applied to every basis state at once, one per row, then transposed."""
     return apply_gate(np.eye(2**n, dtype=complex), gate, targets).T
-
-
-def probabilities(state: np.ndarray) -> np.ndarray:
-    return np.abs(state) ** 2
 
 
 def measure(state: np.ndarray, qubit: int, rng: np.random.Generator):
@@ -425,10 +427,13 @@ class Circuit:
 
     def add(self, name, targets, param=None, matrix=None):
         """Append one op. Bad targets, a `measure` on other than one qubit,
-        an unknown gate name, a rotation without a finite angle and a gate
-        whose size does not match its targets raise here, before any 2^n
-        work. A target must be an integer: a float or a bool raises. The
-        op is stored as given; its matrix is resolved at run."""
+        a gate name that is not a string or not known, a rotation without a
+        finite angle and a gate whose size does not match its targets raise
+        here, before any 2^n work. A target must be an integer: a float or
+        a bool raises. The op is stored as given; its matrix is resolved at
+        run."""
+        if not isinstance(name, str):
+            raise BadParameter(f"gate name {name!r} is not a string")
         targets = _op_targets(self.n, _qubits(targets))
         if name == "measure":
             if len(targets) != 1:
@@ -523,16 +528,16 @@ class Circuit:
         return U.T
 
     def run(self, state=None, rng=None):
-        """Execute the circuit, fused block by block, on |0...0> or on the
-        given state of 2^n amplitudes. Returns (state, dict of measured
-        bits)."""
+        """Execute the circuit, fused block by block, on |0...0> or on a
+        copy of the given state of 2^n amplitudes, an array or a list.
+        Returns (state, dict of measured bits)."""
         if state is None:
             psi = basis_state(self.n)
         elif np.shape(state) != (2**self.n,):
             raise DimensionMismatch(f"state of shape {np.shape(state)} is "
                                     f"not one state of {self.n} qubits")
         else:
-            psi = state.astype(complex)
+            psi = np.array(state, dtype=complex)
         bits = {}
         for gate, targets in self._blocks():
             if gate is None:
@@ -543,20 +548,6 @@ class Circuit:
             else:
                 psi = apply_gate(psi, gate, targets)
         return psi, bits
-
-
-def circuit_to_json(circ: Circuit) -> str:
-    ops = []
-    for op in circ.ops:
-        entry = {"gate": op.name, "targets": list(op.targets)}
-        if op.param is not None:
-            entry["param"] = op.param
-        if op.matrix is not None:
-            entry["matrix"] = [
-                [[float(v.real), float(v.imag)] for v in row] for row in op.matrix
-            ]
-        ops.append(entry)
-    return json.dumps({"n": circ.n, "ops": ops})
 
 
 def _json_matrix(rows) -> np.ndarray:
@@ -574,8 +565,10 @@ def _json_matrix(rows) -> np.ndarray:
 
 
 def circuit_from_json(text: str) -> Circuit:
-    """Parse circuit_to_json output; other text raises BadParameter. `n`
-    is an integer in 1..MAX_QUBITS, and each op passes Circuit.add."""
+    """Parse circuit JSON, {"n": n, "ops": [op, ...]}, each op an object
+    with "gate" and "targets" and, as the gate needs them, a "param" and a
+    raw "matrix" of rows of [re, im] pairs; other text raises BadParameter.
+    `n` is an integer in 1..MAX_QUBITS, and each op passes Circuit.add."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:

@@ -132,7 +132,9 @@ def count_colorings(edges, n_vertices: int, d: int) -> int:
     einsum that builds an entry of 2^53 or more, past which float64 no
     longer holds every integer. All entries are non-negative integers, so
     every partial sum and product of an einsum lies at or below the entry
-    it ends in: a count that returns is exact."""
+    it ends in: a count that returns is exact. A d that is not an integer
+    >= 1 raises BadParameter."""
+    _check_counts(d=d)
     letters = "abcdefghijklmnopqrstuvwxyz"
     if n_vertices > len(letters):
         raise BadParameter("too many vertices")

@@ -2,9 +2,8 @@
 
 Parameterized circuits, exact and stochastic parameter-shift gradients, VQE,
 QAOA with Ising/QUBO mappings (max-cut, QBoost), Gibbs-state constructions,
-DQC1 trace models, barren-plateau experiments, and adiabatic dynamics
-(Landau-Zener sweeps and schedule following by a fourth-order Magnus
-propagator).
+barren-plateau experiments, and adiabatic dynamics (Landau-Zener sweeps and
+schedule following by a fourth-order Magnus propagator).
 
 Sign convention: every parameterized layer is U(theta) = e^{-i theta G} with
 Hermitian generator G. The stochastic shift rule below is stated for this
@@ -879,78 +878,3 @@ def adiabatic_follow(H0, H1, T: float, schedule=None):
     _, V = np.linalg.eigh(out.hamiltonians)
     fids = np.abs(np.einsum("ij,ij->i", V[:, :, 0].conj(), out.states)) ** 2
     return s_grid, fids
-
-
-def loss_std_profile(circ: ParamCircuit, H, theta_center, deltas,
-                     samples: int, rng: np.random.Generator) -> dict:
-    """Standard deviation of the cost over uniform parameter cubes of
-    half-width delta around theta_center, per delta."""
-    theta_center = np.asarray(theta_center, dtype=float)
-    out = {}
-    for d in deltas:
-        rows = theta_center + rng.uniform(-d, d, (samples, theta_center.size))
-        out[float(d)] = float(cost_expectation(circ, rows, H).std(ddof=1))
-    return out
-
-
-# --- DQC1 model and classifier --------------------------------------------------------
-
-def dqc1_model_value(unitaries) -> float:
-    """f = Re tr(prod U) / 2^n for a list of layer unitaries."""
-    U = np.eye(unitaries[0].shape[0], dtype=complex)
-    for g in unitaries:
-        U = g @ U
-    return float(np.trace(U).real / U.shape[0])
-
-
-def dqc1_model(circ_layers, x_gates, theta) -> float:
-    """Trace model: encoding gates interleaved with trainable layers
-    e^{-i theta_k P_k} (single Pauli-string generators).
-
-    circ_layers: list of (label,) generators (one Pauli per trainable
-    layer); x_gates: list of fixed (data-dependent) unitaries, one per
-    slot, applied before each trainable layer."""
-    gates = []
-    for k, (lab,) in enumerate(circ_layers):
-        gates.append(np.asarray(x_gates[k], dtype=complex))
-        P = sc.pauli_matrix(lab)
-        gates.append(np.cos(theta[k]) * np.eye(len(P))
-                     - 1j * np.sin(theta[k]) * P)
-    return dqc1_model_value(gates)
-
-
-def dqc1_model_gradient(circ_layers, x_gates, theta) -> np.ndarray:
-    """Gradient of the trace model: the trace is degree-1 trigonometric in
-    each angle, so df/dtheta_k = (f(+pi/2 shift) - f(-pi/2 shift))/2."""
-    return _row_differences(lambda rows: np.array(
-        [dqc1_model(circ_layers, x_gates, row) for row in rows]),
-        theta, np.pi / 2) / 2
-
-
-def variational_classifier(state_fn, projectors, X, y, theta0,
-                           lr: float = 0.2, epochs: int = 100):
-    """Cross-entropy training of class probabilities
-    l_j = <psi(x;theta)|Lambda_j|psi(x;theta)>.
-
-    Returns (theta, loss history, training accuracy)."""
-    projectors = [np.asarray(P, dtype=complex) for P in projectors]
-    _check_close(sum(projectors), np.eye(len(projectors[0])), 1e-10,
-                 "projectors do not sum to identity")
-
-    def probs(xi, th):
-        psi = state_fn(xi, th)
-        p = np.array([np.vdot(psi, P @ psi).real for P in projectors])
-        return np.clip(p, 1e-12, 1.0)
-
-    def loss(th):
-        return float(np.mean(
-            [-np.log(probs(xi, th)[yi]) for xi, yi in zip(X, y)]
-        ))
-
-    theta, history = gradient_descent(
-        loss, lambda th: finite_difference_gradient(loss, th, 1e-5),
-        np.asarray(theta0, dtype=float), lr=lr, steps=epochs,
-    )
-    preds = [int(np.argmax(probs(xi, theta))) for xi in X]
-    acc = float(np.mean([p == yi for p, yi in zip(preds, y)]))
-    return theta, history, acc

@@ -1,6 +1,5 @@
-"""Sample-and-query vectors, the median-of-means inner-product sketch,
-nearest-centroid classification, and the error-vs-resource comparison with
-the simulated overlap test."""
+"""Sample-and-query vectors, the median-of-means inner-product sketch, and
+the error-vs-resource comparison with the simulated overlap test."""
 import math
 import warnings
 
@@ -117,8 +116,9 @@ class TestSQVector:
         assert xs.sample(Top(), 1)[0] == 38
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            z = dequant.estimator_samples(xs, np.ones(40), 1, Top())
-        assert np.isfinite(z).all()
+            z = dequant.dequant_inner(xs, np.ones(40),
+                                      dequant.EstimatorConfig(3.0, 0.5), Top())
+        assert np.isfinite(z)
 
     def test_size_none_is_the_first_draw(self):
         xs = dequant.SQVector(np.arange(1.0, 40.0))
@@ -183,8 +183,6 @@ class TestInnerEstimator:
         xs = dequant.SQVector([1.0, 1.0])
         rng = np.random.default_rng(3)
         with pytest.raises(DimensionMismatch, match="vector lengths differ"):
-            dequant.estimator_samples(xs, [1.0], 4, rng)
-        with pytest.raises(DimensionMismatch, match="vector lengths differ"):
             dequant.dequant_inner(xs, [1.0, 1.0, 1.0],
                                   dequant.EstimatorConfig(0.5, 0.2), rng)
 
@@ -225,33 +223,6 @@ def enumerated_ok(x, y):
     return dequant.enumerate_estimator_mean(x, y) == pytest.approx(
         np.vdot(x, y), abs=1e-10
     )
-
-
-class TestNearestCentroid:
-    def test_exact_mode(self):
-        X = [[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [0.1, 0.9]]
-        y = ["a", "a", "b", "b"]
-        assert dequant.nearest_centroid(X, y, [1.0, 0.05]) == "a"
-        assert dequant.nearest_centroid(X, y, [0.05, 1.0]) == "b"
-
-    def test_sketch_mode_matches_exact(self):
-        rng = np.random.default_rng(6)
-        X = [[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [0.1, 0.9]]
-        y = ["a", "a", "b", "b"]
-        cfg = dequant.EstimatorConfig(0.05, 0.01)
-        for t in ([1.0, 0.2], [0.2, 1.0], [0.8, 0.3]):
-            assert dequant.nearest_centroid(X, y, t, cfg, rng) == \
-                dequant.nearest_centroid(X, y, t)
-
-    def test_empty_class(self):
-        with pytest.raises(BadParameter, match="no training data"):
-            dequant.nearest_centroid([], [], [1.0])
-
-    def test_cfg_without_rng_rejected(self):
-        X, y = [[1.0, 0.0], [0.0, 1.0]], ["a", "b"]
-        with pytest.raises(BadParameter):
-            dequant.nearest_centroid(X, y, [1.0, 0.2],
-                                     dequant.EstimatorConfig(0.1, 0.05))
 
 
 class TestHarness:

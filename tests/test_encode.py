@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from qdesk import encode, qprob, simcore as sc
-from qdesk.errors import BadParameter, DimensionMismatch
+from qdesk import encode, simcore as sc
+from qdesk.errors import BadParameter
 
 
 class TestBasisEncode:
@@ -22,66 +22,7 @@ class TestBasisEncode:
         assert encode.bits_of(11, 4) == (1, 0, 1, 1)
 
 
-class TestAmplitudeEncode:
-    def test_single_unit_vector(self):
-        v = np.array([0.5, 0.5, 0.5, 0.5])
-        psi = encode.amplitude_encode([v])
-        assert np.abs(psi - v).max() < 1e-12
-
-    def test_multi_vector_interleaving(self):
-        # index (j << n_m) | m holds x^m_j / sqrt(M)
-        vs = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-        psi = encode.amplitude_encode(vs)
-        assert psi[0b00] == pytest.approx(1 / np.sqrt(2))  # j=0, m=0
-        assert psi[0b11] == pytest.approx(1 / np.sqrt(2))  # j=1, m=1
-
-    def test_norm_channel(self):
-        x = np.array([0.6, 0.0])
-        psi = encode.amplitude_encode_with_norm(x)
-        assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
-        assert psi[0] == pytest.approx(0.6)
-        assert psi[2] == pytest.approx(0.8)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(BadParameter, match="^zero vector$"):
-            encode.amplitude_encode_with_norm(np.zeros(3))
-
-
-    @pytest.mark.parametrize("v", [[1, 1], [0, 0], [1 + 2e-10, 0],
-                                   [np.nan, 1]])
-    def test_vectors_must_be_unit_norm(self, v):
-        with pytest.raises(BadParameter, match="not 1"):
-            encode.amplitude_encode([[1, 0], v])
-
-    def test_norm_within_tolerance_passes(self):
-        psi = encode.amplitude_encode([[1 + 5e-11, 0]])
-        assert psi[0] == 1 + 5e-11
-
-
 class TestQsamplePhase:
-    def test_qsample_measurement_law(self):
-        p = np.array([0.1, 0.2, 0.3, 0.4])
-        psi = encode.qsample_encode(p)
-        assert np.abs(np.abs(psi) ** 2 - p).max() < 1e-12
-
-    def test_qsample_length_check(self):
-        with pytest.raises(DimensionMismatch, match="a power of two"):
-            encode.qsample_encode([0.5, 0.25, 0.25])
-
-    def test_qsample_takes_the_probability_vector_rule(self):
-        # qprob.check_prob_vector's rule: entries down to -1e-12 pass and
-        # are clipped to 0
-        p = [0.5, 0.5 + 1e-13, -1e-13, 0.0]
-        assert qprob.shannon_entropy(p) == pytest.approx(1.0)
-        assert np.array_equal(encode.qsample_encode(p),
-                              np.sqrt([0.5, 0.5 + 1e-13, 0.0, 0.0]))
-        with pytest.raises(BadParameter, match="negative probability"):
-            encode.qsample_encode([0.5, 0.5 + 1e-11, -1e-11, 0.0])
-
-    def test_qsample_rejects_nan(self):
-        with pytest.raises(BadParameter):
-            encode.qsample_encode([np.nan, 0.5, 0.5, 0.0])
-
     def test_phase_kernel(self):
         rng = np.random.default_rng(0)
         for _ in range(10):

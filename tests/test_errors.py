@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qdesk import algos, errors, qkernel, qprob, simcore, varqml
+from qdesk import (algos, encode, errors, qkernel, qprob, simcore, tnet,
+                   varqml)
 
 SRC = Path(errors.__file__).resolve().parent
 
@@ -42,12 +43,6 @@ def test_every_raise_names_a_qdesk_error(path):
             f"{path.name}:{node.lineno}: {ast.unparse(node)}"
 
 
-def _classifier(projectors):
-    return varqml.variational_classifier(
-        lambda x, th: simcore.basis_state(1), projectors, [0.0], [0],
-        [0.0], epochs=1)
-
-
 def _circuit_state(generator):
     return varqml.ParamCircuit(1, [varqml.Layer(generator)]).state([0.3])
 
@@ -61,8 +56,6 @@ INSIDE_RTOL = {
         np.array([[1.0, 0.5], [0.5 + 4e-6, 1.0]])),
     "density_matrix": lambda: qprob.check_density_matrix(
         np.array([[0.5, 0.45], [0.45 + 4e-6, 0.5]])),
-    "projector": lambda: qprob.measurement_update(
-        np.eye(2) / 2, np.diag([1 + 5e-6, 0.0])),
     "kraus": lambda: simcore.kraus_apply(
         np.eye(2) / 2, [np.sqrt(1 + 5e-6) * np.eye(2)]),
     "exp_hamiltonian": lambda: simcore.exp_hamiltonian(
@@ -72,8 +65,6 @@ INSIDE_RTOL = {
         [("X", 1 + 4e-6j), ("Z", 1.0)]),
     "adiabatic_hamiltonian": lambda: varqml.adiabatic_follow(
         np.array([[0.0, 1.0], [1 + 4e-6, 0.0]]), simcore.Z, 1.0),
-    "classifier_projectors": lambda: _classifier(
-        [np.diag([1 + 5e-6, 0.0]), np.diag([0.0, 1.0])]),
 }
 
 
@@ -140,3 +131,30 @@ def test_every_hermitian_check_is_the_one_rule(path):
             a, b = (ast.unparse(x) for x in node.args[:2])
             assert b not in (f"{a}.conj().T", f"{a}.T"), \
                 f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+
+
+# Each call used to escape with a numpy or Python error (IndexError,
+# TypeError, a zero-size reduction) or, for a negative basis index, to
+# return the wrong state; each now raises before any 2^n work.
+ESCAPES = {
+    "basis_index_too_large": lambda: simcore.basis_state(2, 5),
+    "basis_index_negative": lambda: simcore.basis_state(2, -1),
+    "gate_name_not_a_string": lambda: simcore.circuit_from_json(
+        '{"n": 1, "ops": [{"gate": ["H"], "targets": [0]}]}'),
+    "no_colors": lambda: tnet.count_colorings([[0, 1]], 2, 0),
+    "gram_of_no_data": lambda: qkernel.gram(
+        [], encode.EncodingSpec("phase", {})),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ESCAPES))
+def test_boundary_escapes_raise_bad_parameter(case):
+    with pytest.raises(errors.BadParameter):
+        ESCAPES[case]()
+
+
+def test_circuit_runs_on_a_list_state():
+    circ = simcore.Circuit(1).add("H", [0])
+    psi, _ = circ.run([1, 0])
+    assert np.array_equal(psi, circ.run(np.array([1, 0]))[0])
+    assert np.array_equal(psi, circ.run()[0])

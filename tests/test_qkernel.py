@@ -65,8 +65,6 @@ def _density(kind, x, width):
         psi = encode.basis_encode([encode.bits_of(x, width)])
     elif kind == "amplitude":
         psi = np.asarray(x, dtype=complex) / np.linalg.norm(x)
-    elif kind == "qsample":
-        psi = encode.qsample_encode(x)
     else:
         psi = np.array([1.0])
         for xi in x:
@@ -75,7 +73,7 @@ def _density(kind, x, width):
 
 
 class TestKernelIsDensityTrace:
-    @given(st.sampled_from(["basis", "amplitude", "qsample", "phase"]),
+    @given(st.sampled_from(["basis", "amplitude", "phase"]),
            st.integers(1, 3), st.integers(1, 3), st.data())
     @settings(max_examples=200, deadline=None)
     def test_equals_trace_of_density_product(self, kind, r, width, data):
@@ -87,11 +85,6 @@ class TestKernelIsDensityTrace:
         elif kind == "amplitude":
             draw = st.lists(num, min_size=2**width, max_size=2**width) \
                 .map(np.array).filter(lambda v: np.linalg.norm(v) > 1e-3)
-        elif kind == "qsample":
-            draw = st.lists(st.floats(0, 1), min_size=2**width,
-                            max_size=2**width) \
-                .filter(lambda v: sum(v) > 1e-3) \
-                .map(lambda v: np.array(v) / np.sum(v))
         else:
             draw = st.lists(num, min_size=width, max_size=width)
         x, y = data.draw(draw), data.draw(draw)
@@ -115,9 +108,6 @@ class TestNoDensityMatrix:
         assert np.array_equal(qk.gram([0, 1, 3], spec).K, np.eye(3))
         assert qk.quantum_kernel([0.5, 0.5], [0.5, 0.5], AMP) == \
             pytest.approx(1.0)
-        q = encode.EncodingSpec("qsample", {})
-        assert qk.quantum_kernel([0.5, 0.5], [1.0, 0.0], q) == \
-            pytest.approx(0.5)
 
 
 class TestGram:
@@ -139,8 +129,7 @@ class TestGram:
         assert np.linalg.eigvalsh(gm.K).min() >= -1e-8
         assert np.abs(np.diag(gm.K) - 1).max() < 1e-12
 
-    @pytest.mark.parametrize("kind", ["phase", "basis", "qsample",
-                                      "amplitude"])
+    @pytest.mark.parametrize("kind", ["phase", "basis", "amplitude"])
     def test_equals_the_pairwise_kernel_loop(self, kind):
         rng = np.random.default_rng(7)
         if kind == "phase":
@@ -148,9 +137,6 @@ class TestGram:
         elif kind == "basis":
             spec = encode.EncodingSpec("basis", {"width": 3})
             X = [int(v) for v in rng.integers(0, 8, 9)]
-        elif kind == "qsample":
-            spec = encode.EncodingSpec("qsample", {})
-            X = [p / p.sum() for p in rng.random((9, 8))]
         else:
             spec = encode.EncodingSpec("amplitude", {"copies": 2})
             X = list(rng.normal(size=(9, 4)) + 1j * rng.normal(size=(9, 4)))

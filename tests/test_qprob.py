@@ -7,11 +7,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdesk import qprob, simcore as sc, tnet
-from qdesk.errors import BadParameter
+from qdesk.errors import BadParameter, TargetOutOfRange
 
 
 def random_density(n, rng, rank=None):
@@ -79,55 +79,6 @@ class TestRelativeEntropy:
             qprob.relative_entropy([np.nan, 1.0], [0.5, 0.5])
 
 
-class TestMajorization:
-    def test_uniform_is_bottom(self):
-        # any distribution majorizes the uniform one
-        assert qprob.majorizes([0.7, 0.2, 0.1], [1 / 3] * 3)
-        assert not qprob.majorizes([1 / 3] * 3, [0.7, 0.2, 0.1])
-
-    def test_incomparable_pair(self):
-        a = [0.55, 0.15, 0.15, 0.15]
-        b = [0.4, 0.4, 0.1, 0.1]
-        assert qprob.majorization_compare(a, b) == "incomparable"
-
-    def test_equal_both(self):
-        assert qprob.majorization_compare([0.5, 0.5], [0.5, 0.5]) == "both"
-
-    def test_tolerance(self):
-        a = [0.5, 0.5]
-        b = [0.5 + 5e-13, 0.5 - 5e-13]
-        assert qprob.majorizes(a, b, tol=1e-12)
-
-    def test_unequal_totals_never_majorize(self):
-        assert not qprob.majorizes([0.6, 0.5], [0.5, 0.5])
-        assert not qprob.majorizes([0.5, 0.5], [0.6, 0.5])
-
-    def test_one_way_orders(self):
-        a, b = [0.7, 0.2, 0.1], [0.5, 0.3, 0.2]
-        assert qprob.majorization_compare(a, b) == "first"
-        assert qprob.majorization_compare(b, a) == "second"
-
-    @given(st.integers(0, 2**31 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_sorted_prefix_dominance(self, seed):
-        rng = np.random.default_rng(seed)
-        p = rng.dirichlet(np.ones(4))
-        if qprob.majorizes(p, [0.25] * 4):
-            ps = np.sort(p)[::-1]
-            assert all(ps[:k + 1].sum() >= (k + 1) / 4 - 1e-12
-                       for k in range(4))
-
-
-class TestGeometry:
-    def test_bhattacharyya_identical(self):
-        assert qprob.bhattacharyya_angle([0.5, 0.5], [0.5, 0.5]) == \
-            pytest.approx(0.0, abs=1e-8)
-
-    def test_bhattacharyya_orthogonal(self):
-        assert qprob.bhattacharyya_angle([1, 0], [0, 1]) == \
-            pytest.approx(np.pi / 2)
-
-
 class TestVonNeumann:
     def test_pure_state_zero(self):
         psi = np.array([1, 1j]) / np.sqrt(2)
@@ -147,45 +98,6 @@ class TestVonNeumann:
         U = sc.haar_random_unitary(4, rng)
         assert qprob.von_neumann_entropy(U @ rho @ U.conj().T) == \
             pytest.approx(qprob.von_neumann_entropy(rho), abs=1e-10)
-
-
-class TestQuantumRelativeEntropy:
-    def test_zero_on_equal(self):
-        rho = random_density(2, np.random.default_rng(1))
-        assert qprob.quantum_relative_entropy(rho, rho) == \
-            pytest.approx(0.0, abs=1e-10)
-
-    def test_support_violation(self):
-        pure = np.diag([1.0, 0.0]).astype(complex)
-        mixed = np.eye(2) / 2
-        with pytest.raises(BadParameter,
-                           match=r"support\(rho\) not contained"):
-            qprob.quantum_relative_entropy(mixed, pure)
-
-    def test_qubit_closed_form_matches_spectral(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            a = rng.normal(size=3)
-            a *= rng.uniform(0, 0.95) / np.linalg.norm(a)
-            b = rng.normal(size=3)
-            b *= rng.uniform(0.05, 0.95) / np.linalg.norm(b)
-            rho = qprob.bloch_to_density(a)
-            eta = qprob.bloch_to_density(b)
-            ref = qprob.quantum_relative_entropy(rho, eta)
-            val = qprob.qubit_relative_entropy_closed_form(a, b)
-            assert val == pytest.approx(ref, abs=1e-10)
-
-    def test_closed_form_rejects_pure_or_outside_eta(self):
-        for b in ([0, 0, 1], [0, 0, 1.5]):
-            with pytest.raises(BadParameter, match=r"needs \|tau_b\| < 1"):
-                qprob.qubit_relative_entropy_closed_form([0, 0, 0.5], b)
-
-    def test_klein_inequality(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            rho = random_density(2, rng)
-            eta = random_density(2, rng)
-            assert qprob.quantum_relative_entropy(rho, eta) >= -1e-10
 
 
 class TestSchmidt:
@@ -250,48 +162,15 @@ class TestPartialTraceAndCollapse:
         out = qprob.partial_trace(rho, keep=[1], dims=[2, 2, 2])
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
 
-    def test_measurement_update(self):
+    @given(st.lists(st.integers(-2, 5), max_size=3))
+    @example([5])
+    @settings(max_examples=30, deadline=None)
+    def test_keep_must_name_distinct_subsystems(self, keep):
+        # one subsystem of dimension 2: only [] and [0] name it
         rho = np.eye(2) / 2
-        P0 = np.diag([1.0, 0.0]).astype(complex)
-        p, post = qprob.measurement_update(rho, P0)
-        assert p == pytest.approx(0.5)
-        assert np.abs(post - P0).max() < 1e-12
-
-    def test_zero_probability_branch(self):
-        rho = np.diag([1.0, 0.0]).astype(complex)
-        with pytest.raises(BadParameter, match="branch has zero probability"):
-            qprob.measurement_update(rho, np.diag([0.0, 1.0]).astype(complex))
-
-
-class TestBloch:
-    @given(st.integers(0, 2**31 - 1))
-    @settings(max_examples=50, deadline=None)
-    def test_roundtrip(self, seed):
-        rng = np.random.default_rng(seed)
-        r = rng.normal(size=3)
-        r *= rng.uniform(0, 1) / np.linalg.norm(r)
-        rho = qprob.bloch_to_density(r)
-        assert np.abs(qprob.density_to_bloch(rho) - r).max() < 1e-12
-
-    def test_pure_on_sphere(self):
-        rho = qprob.bloch_to_density([0, 0, 1])
-        assert np.abs(rho - np.diag([1.0, 0.0])).max() < 1e-12
-
-    def test_outside_ball_rejected(self):
-        with pytest.raises(BadParameter, match=r"^\|tau\| = 1\.5 > 1$"):
-            qprob.bloch_to_density([0, 0, 1.5])
-
-
-class TestSicPovm:
-    def test_completeness(self):
-        # projectors sum to 2*I; the POVM weights 1/2 restore identity
-        povm = qprob.sic_qubit_povm()
-        assert np.abs(sum(povm) - 2 * np.eye(2)).max() < 1e-12
-
-    def test_pairwise_overlaps(self):
-        povm = qprob.sic_qubit_povm()
-        for i in range(4):
-            for j in range(4):
-                val = np.trace(povm[i] @ povm[j]).real
-                ref = (2 * (i == j) + 1) / 3
-                assert val == pytest.approx(ref, abs=1e-12)
+        if keep in ([], [0]):
+            out = qprob.partial_trace(rho, keep, [2])
+            assert out.shape == (2 ** len(keep),) * 2
+        else:
+            with pytest.raises(TargetOutOfRange, match="distinct subsystems"):
+                qprob.partial_trace(rho, keep, [2])

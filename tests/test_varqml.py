@@ -145,16 +145,6 @@ class TestSinglePauliClosedForm:
                 got = vq._shift_integrand(circ, th, OBS, None, t, label, s)
                 assert abs(got - ref) < 1e-14
 
-    def test_dqc1_model_matches_exponentials(self):
-        rng = np.random.default_rng(22)
-        layers = [("XZ",), ("YI",), ("ZY",)]
-        xg = [sc.haar_random_unitary(4, rng) for _ in range(3)]
-        th = rng.uniform(-np.pi, np.pi, 3)
-        ref = vq.dqc1_model_value([
-            g for (lab,), x, a in zip(layers, xg, th)
-            for g in (x, sc.exp_hamiltonian(sc.pauli_matrix(lab), a))])
-        assert abs(vq.dqc1_model(layers, xg, th) - ref) < 1e-14
-
     def test_qaoa_mixer_matches_exponential(self):
         rng = np.random.default_rng(23)
         model = vq.maxcut_to_ising([(0, 1), (1, 2), (0, 2)])
@@ -177,7 +167,6 @@ class TestSinglePauliClosedForm:
         monkeypatch.setattr(sc, "exp_hamiltonian", refuse)
         model = vq.maxcut_to_ising([(0, 1), (1, 2)])
         vq.qaoa_state(model, [0.4, 0.1], [0.7, -0.2])
-        vq.dqc1_model([("XZ",), ("YI",)], [np.eye(4)] * 2, [0.3, 0.5])
         for spec in (EncodingSpec("pauli", {"gamma": 0.5}),
                      EncodingSpec("pauli-parallel", {"r": 3}),
                      EncodingSpec("pauli-sequential", {"r": 2}),
@@ -322,37 +311,6 @@ class TestAngleRows:
             assert abs(est.stderr - vals.std(ddof=1) / np.sqrt(40)) <= 1e-14
             assert est.samples == 40
             assert got_rng.random() == rng.random()  # same draws taken
-
-    @pytest.mark.parametrize("seed", [0, 5, 17])
-    def test_loss_profile_keeps_the_draw_order(self, seed):
-        circ = two_qubit_circuit()
-        center = np.array([0.3, -1.1, 0.8])
-        deltas = [0.05, 0.4, 1.5]
-        got_rng = np.random.default_rng(seed)
-        prof = vq.loss_std_profile(circ, OBS, center, deltas, 30, got_rng)
-        rng = np.random.default_rng(seed)
-        for d in deltas:
-            vals = [vq.cost_expectation(
-                circ, center + rng.uniform(-d, d, center.size), OBS)
-                for _ in range(30)]
-            assert abs(prof[d] - np.std(vals, ddof=1)) <= 1e-14
-        assert got_rng.random() == rng.random()  # same draws taken
-
-    def test_dqc1_gradient_is_the_up_dn_loop(self):
-        rng = np.random.default_rng(42)
-        layers = [("XZ",), ("YI",), ("ZY",)]
-        xg = [sc.haar_random_unitary(4, rng) for _ in range(3)]
-        for _ in range(5):
-            theta = rng.uniform(-np.pi, np.pi, 3)
-            ref = np.empty_like(theta)
-            for k in range(theta.size):
-                up, dn = theta.copy(), theta.copy()
-                up[k] += np.pi / 2
-                dn[k] -= np.pi / 2
-                ref[k] = (vq.dqc1_model(layers, xg, up)
-                          - vq.dqc1_model(layers, xg, dn)) / 2
-            assert np.array_equal(vq.dqc1_model_gradient(layers, xg, theta),
-                                  ref)
 
 
 class TestVQE:
@@ -1106,54 +1064,3 @@ class TestDynamicsBoundary:
     def test_solve_ivp_rejects_grid(self, grid):
         with pytest.raises(BadParameter, match="t_grid"):
             vq.solve_ivp(TestMagnusPropagator.sweep, grid, [1, 0])
-
-
-class TestLossProfile:
-    def test_std_grows_with_cube_width(self):
-        rng = np.random.default_rng(11)
-        circ = two_qubit_circuit()
-        H = sc.pauli_reconstruct([("ZI", 1.0)], 2)
-        th, _ = vq.vqe(H, circ, rng=rng, lr=0.2, steps=150)
-        prof = vq.loss_std_profile(circ, H, th, [0.05, 0.2, 0.8], 200, rng)
-        vals = list(prof.values())
-        assert vals[0] < vals[1] < vals[2]
-
-
-class TestDQC1Model:
-    def test_gradient_rule(self):
-        rng = np.random.default_rng(12)
-        layers = [("XZ",), ("YI",)]
-        xg = [sc.haar_random_unitary(4, rng) for _ in range(2)]
-        th = rng.uniform(-1, 1, 2)
-        g = vq.dqc1_model_gradient(layers, xg, th)
-        fd = vq.finite_difference_gradient(
-            lambda t: vq.dqc1_model(layers, xg, t), th
-        )
-        assert np.abs(g - fd).max() < 1e-8
-
-
-class TestClassifier:
-    def test_learns_separable_problem(self):
-        rng = np.random.default_rng(13)
-
-        def state_fn(x, th):
-            psi = np.array([1.0, 0.0], dtype=complex)
-            return sc.exp_hamiltonian(sc.Y, float(x) + th[0]) @ psi
-
-        P0 = np.diag([1.0, 0.0]).astype(complex)
-        P1 = np.diag([0.0, 1.0]).astype(complex)
-        X = [-0.6, -0.5, -0.4, 0.4, 0.5, 0.6]
-        y = [0, 0, 0, 1, 1, 1]
-        theta, hist, acc = vq.variational_classifier(
-            state_fn, [P0, P1], X, y, [0.8], lr=0.4, epochs=60
-        )
-        assert acc == 1.0
-        assert hist[-1] < hist[0]
-
-    def test_incomplete_projectors_rejected(self):
-        P0 = np.diag([1.0, 0.0]).astype(complex)
-        with pytest.raises(BadParameter,
-                           match="projectors do not sum to identity"):
-            vq.variational_classifier(
-                lambda x, th: np.array([1.0, 0.0], dtype=complex),
-                [P0, P0], [0.0], [0], [0.0], epochs=1)
