@@ -119,13 +119,14 @@ def partial_trace(rho, keep, dims) -> np.ndarray:
     in `keep`.
 
     dims: tuple of subsystem dimensions, leftmost factor first. A `keep`
-    entry that is not a distinct integer in 0..len(dims) - 1 raises
-    TargetOutOfRange.
+    entry that is not a distinct integer in 0..len(dims) - 1, or is a
+    bool, raises TargetOutOfRange.
     """
     dims = tuple(dims)
     keep = list(keep)
     if len(set(keep)) != len(keep) or not all(
-            isinstance(i, (int, np.integer)) and 0 <= i < len(dims)
+            isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+            and 0 <= i < len(dims)
             for i in keep):
         raise TargetOutOfRange(f"keep {keep} is not a list of distinct "
                                f"subsystems in 0..{len(dims) - 1}")

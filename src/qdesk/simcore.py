@@ -87,9 +87,22 @@ def n_qubits(dim: int) -> int:
     return n
 
 
+MAX_QUBITS = 12  # the widest register any circuit or experiment may use
+
+
+def _check_width(n) -> int:
+    """n as an int; BadParameter unless a non-bool int in 1..MAX_QUBITS."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) \
+            or not 1 <= n <= MAX_QUBITS:
+        raise BadParameter(
+            f"n must be an integer in 1..{MAX_QUBITS}, got {n!r}")
+    return int(n)
+
+
 def basis_state(n: int, index: int = 0) -> np.ndarray:
-    """|index> on n qubits. An index that is not an integer in
-    0..2^n - 1 raises BadParameter before the state is built."""
+    """|index> on n qubits. An n that fails _check_width, or an index not
+    an integer in 0..2^n - 1, raises BadParameter before the state is built."""
+    n = _check_width(n)
     if isinstance(index, bool) or not isinstance(index, (int, np.integer)) \
             or not 0 <= index < 2**n:
         raise BadParameter(
@@ -369,8 +382,6 @@ def tensor(*gates: np.ndarray) -> np.ndarray:
 
 # --- circuits -----------------------------------------------------------
 
-MAX_QUBITS = 12  # the widest register any circuit or experiment may use
-
 # (rows, cols) of every named gate
 _GATE_SHAPES = {**{name: g.shape for name, g in FIXED_GATES.items()},
                 **dict.fromkeys(GATE_FACTORIES, (2, 2))}
@@ -415,12 +426,7 @@ class Circuit:
     ops: list[CircuitOp] = field(default_factory=list)
 
     def __post_init__(self):
-        n = self.n
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) \
-                or not 1 <= n <= MAX_QUBITS:
-            raise BadParameter(
-                f"n must be an integer in 1..{MAX_QUBITS}, got {n!r}")
-        self.n = int(n)
+        self.n = _check_width(self.n)
         ops, self.ops = self.ops, []
         for op in ops:  # the same checks as ops added one by one
             self.add(op.name, op.targets, op.param, op.matrix)
@@ -529,15 +535,22 @@ class Circuit:
 
     def run(self, state=None, rng=None):
         """Execute the circuit, fused block by block, on |0...0> or on a
-        copy of the given state of 2^n amplitudes, an array or a list.
+        copy of the given state of 2^n amplitudes, an array or a list (a
+        bad shape raises DimensionMismatch, a non-number BadParameter).
         Returns (state, dict of measured bits)."""
         if state is None:
             psi = basis_state(self.n)
-        elif np.shape(state) != (2**self.n,):
-            raise DimensionMismatch(f"state of shape {np.shape(state)} is "
-                                    f"not one state of {self.n} qubits")
         else:
-            psi = np.array(state, dtype=complex)
+            try:
+                psi = np.array(state)
+            except ValueError:  # ragged
+                psi = None
+            if psi is None or psi.shape != (2**self.n,):
+                raise DimensionMismatch(
+                    f"start state is not one state of {self.n} qubits")
+            if psi.dtype.kind not in "biufc":
+                raise BadParameter("start state entries must be numbers")
+            psi = psi.astype(complex, copy=False)
         bits = {}
         for gate, targets in self._blocks():
             if gate is None:

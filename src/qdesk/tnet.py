@@ -51,6 +51,13 @@ def _chain(cores) -> np.ndarray:
     return out.reshape([n for A in cores for n in A.shape[1:-1]])
 
 
+def _env_step(env, A, Dr: int) -> np.ndarray:
+    """A left environment (..., Dl, Dl), indexed (ket, bra; the bra leg
+    conjugated), over one core (..., Dl, p * Dr): the next, (..., Dr, Dr)."""
+    tmp = (env @ A.conj()).reshape(*A.shape[:-2], -1, Dr)
+    return A.reshape(tmp.shape).swapaxes(-1, -2) @ tmp
+
+
 def mps_from_tensor(T: np.ndarray, Dmax: int | None = None) -> MPS:
     """Successive reshape-and-SVD factorization, keeping at most Dmax
     singular values per cut (qprob._svd_cut, as schmidt_decompose)."""
@@ -102,13 +109,12 @@ def mps_norm(mps: MPS, scheme: str = "sequential",
             mats = [a @ b for a, b in pairs] + mats[2 * len(pairs):]
         val = float(np.sqrt(max(mats[0][0, 0].real, 0.0)))
     elif scheme == "sequential":
-        L = np.ones((1, 1), dtype=complex)
+        env = np.ones((1, 1), dtype=complex)
         for A in mps.tensors:
             Dl, d, Dr = A.shape
             ops += A.size * (Dl + Dr)
-            tmp = (L @ A.reshape(Dl, d * Dr)).reshape(Dl * d, Dr)
-            L = A.conj().reshape(Dl * d, Dr).T @ tmp
-        val = float(np.sqrt(max(L[0, 0].real, 0.0)))
+            env = _env_step(env, A.reshape(Dl, d * Dr), Dr)
+        val = float(np.sqrt(max(env[0, 0].real, 0.0)))
     else:
         raise BadParameter(f"unknown scheme {scheme!r}")
     return (val, ops) if return_ops else val
@@ -255,11 +261,12 @@ def projector_frobenius(model: ProjectorMPS) -> float:
                          for c in model.cores]))
 
 
-def anomaly_score(model: ProjectorMPS, x, return_ops: bool = False):
-    """||P Phi(x)||_2 by sequential contraction."""
-    out, ops1 = model.apply(_features([x], model.d)[0], return_ops=True)
-    val, ops2 = mps_norm(out, "sequential", return_ops=True)
-    return (val, ops1 + ops2) if return_ops else val
+def anomaly_score(model: ProjectorMPS, x) -> float:
+    """||P Phi(x)||_2: the square root of D(x), read from the fit's sweep
+    (_sweeps) of the model's one row over the one sample x."""
+    D, _ = _sweeps(_flatten(model.cores)[None], _features([x], model.d),
+                   model.cores)
+    return float(np.sqrt(max(D[0, 0], 0.0)))
 
 
 def _random_projector(N: int, S: int, d: int, D: int,
@@ -306,48 +313,51 @@ def _features(samples, d: int) -> np.ndarray:
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-def _batched_loss(thetas, feats, template, alpha: float) -> np.ndarray:
-    """anomaly_loss of every row of `thetas` (B, P), each row the flattened
-    cores of a projector shaped like `template`, over embedded samples
-    `feats` (M, N, d). Returns shape (B,).
+def _sweeps(rows, feats, template):
+    """D(x) = ||P Phi(x)||^2, shape (B, M), and ||P||_F^2, shape (B,), of
+    every row of `rows` (B, P), each row the flattened cores of a projector
+    shaped like `template`, over embedded samples `feats` (M, N, d).
 
     One left-to-right sweep carries, per row, an (M, Dl, Dl) environment
-    for D(x) = ||P Phi(x)||^2 and a (Dl, Dl) one for ||P||_F^2, indexed
-    (ket, bra); the bra leg is conjugated. A site costs
-    O(d d_out D^2 + d_out D^3) per row and sample. Output sites are read
-    from the core shapes, as in ProjectorMPS.apply."""
+    for D(x) and a (Dl, Dl) one for ||P||_F^2, each extended by _env_step.
+    A site costs O(d d_out D^2 + d_out D^3) per row and sample. Output
+    sites are read from the core shapes, as in ProjectorMPS.apply."""
     M, N, d = feats.shape
     if len(template) != N or any(c.shape[1] != d for c in template):
         raise DimensionMismatch(
             f"model of {len(template)} sites does not take samples of "
             f"{N} sites with {d} features")
     chunk = max(1, _SWEEP_BUDGET // M)
-    out = []
-    for start in range(0, len(thetas), chunk):
-        rows = thetas[start:start + chunk]
-        B = len(rows)
+    Ds, fros = [], []
+    for start in range(0, len(rows), chunk):
+        part = rows[start:start + chunk]
+        B = len(part)
         env = np.ones((B, M, 1, 1))
         fro = np.ones((B, 1, 1))
         pos = 0
         for core, f in zip(template, feats.transpose(1, 0, 2)):
             Dl, Dr = core.shape[0], core.shape[-1]
-            C = rows[:, pos:pos + core.size].reshape(B, Dl, d, -1)
+            C = part[:, pos:pos + core.size].reshape(B, Dl, d, -1)
             pos += core.size
             # ||P||_F^2: both physical legs summed
-            tmp = (fro @ C.conj().reshape(B, Dl, -1)).reshape(B, -1, Dr)
-            fro = C.reshape(B, -1, Dr).swapaxes(1, 2) @ tmp
+            fro = _env_step(fro, C.reshape(B, Dl, -1), Dr)
             # D(x): input leg contracted with the features of each sample
             # (B, M, Dl, d_out * Dr), d_out = 1 off the output sites
-            A = (f @ C).swapaxes(1, 2)
-            tmp = (env @ A.conj()).reshape(B, M, -1, Dr)
-            env = A.reshape(B, M, -1, Dr).swapaxes(2, 3) @ tmp
-        dev = np.abs(np.log(np.maximum(env[:, :, 0, 0].real, 1e-300)) - 1.0)
-        loss = dev.mean(axis=1)
-        if alpha:
-            loss += alpha * np.log(np.maximum(
-                np.sqrt(np.maximum(fro[:, 0, 0].real, 0.0)), 1e-300))
-        out.append(loss)
-    return np.concatenate(out)
+            env = _env_step(env, (f @ C).swapaxes(1, 2), Dr)
+        Ds.append(env[:, :, 0, 0].real)
+        fros.append(fro[:, 0, 0].real)
+    return np.concatenate(Ds), np.concatenate(fros)
+
+
+def _batched_loss(thetas, feats, template, alpha: float) -> np.ndarray:
+    """anomaly_loss of every row of `thetas` (B, P) over embedded samples
+    `feats` (M, N, d), from _sweeps. Returns shape (B,)."""
+    D, fro = _sweeps(thetas, feats, template)
+    loss = np.abs(np.log(np.maximum(D, 1e-300)) - 1.0).mean(axis=1)
+    if alpha:
+        loss += alpha * np.log(np.maximum(np.sqrt(np.maximum(fro, 0.0)),
+                                          1e-300))
+    return loss
 
 
 def anomaly_loss(model: ProjectorMPS, train, alpha: float) -> float:

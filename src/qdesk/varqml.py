@@ -152,7 +152,8 @@ def _shift_integrand(circ: ParamCircuit, theta, O, psi0, t: int,
     X = theta_t G_t, replaced by e^{-i s X} e^{-+i pi/4 V} e^{-i (1-s) X},
     V the Pauli string `label`. Layer t is split into three layers, the
     first carrying t's fixed gate. An array of s is one evaluation."""
-    if not (isinstance(t, numbers.Integral) and 0 <= t < circ.n_params):
+    if isinstance(t, bool) or not (isinstance(t, numbers.Integral)
+                                   and 0 <= t < circ.n_params):
         raise TargetOutOfRange(
             f"layer index t = {t!r} outside 0..{circ.n_params - 1}")
     layer, th = circ.layers[t], np.asarray(theta, dtype=float)

@@ -134,13 +134,23 @@ def test_every_hermitian_check_is_the_one_rule(path):
 
 
 # Each call used to escape with a numpy or Python error (IndexError,
-# TypeError, a zero-size reduction) or, for a negative basis index, to
-# return the wrong state; each now raises before any 2^n work.
+# TypeError, ValueError, a zero-size reduction) or, for a negative basis
+# index, to return the wrong state; each now raises before any 2^n work.
 ESCAPES = {
     "basis_index_too_large": lambda: simcore.basis_state(2, 5),
     "basis_index_negative": lambda: simcore.basis_state(2, -1),
+    "basis_width_negative": lambda: simcore.basis_state(-1),
+    "basis_width_float": lambda: simcore.basis_state(2.0),
+    "basis_width_too_large": lambda: simcore.basis_state(
+        simcore.MAX_QUBITS + 1),
+    "start_state_ragged": lambda: simcore.Circuit(1).add("H", [0]).run(
+        [[1], [0, 1]]),
+    "start_state_not_numbers": lambda: simcore.Circuit(1).add(
+        "H", [0]).run(["a", "b"]),
     "gate_name_not_a_string": lambda: simcore.circuit_from_json(
         '{"n": 1, "ops": [{"gate": ["H"], "targets": [0]}]}'),
+    "keep_a_bool": lambda: qprob.partial_trace(
+        np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2), [True], [2, 2]),
     "no_colors": lambda: tnet.count_colorings([[0, 1]], 2, 0),
     "gram_of_no_data": lambda: qkernel.gram(
         [], encode.EncodingSpec("phase", {})),

@@ -164,6 +164,7 @@ class TestPartialTraceAndCollapse:
 
     @given(st.lists(st.integers(-2, 5), max_size=3))
     @example([5])
+    @example([True])
     @settings(max_examples=30, deadline=None)
     def test_keep_must_name_distinct_subsystems(self, keep):
         # one subsystem of dimension 2: only [] and [0] name it

@@ -97,6 +97,7 @@ ALLOWLIST = {
     "encode.phase_encode": "benchmark layer until item 1 Step B",
     "simcore.apply_gate_density": "benchmark layer until item 1 Step B",
     "simcore.exp_hamiltonian": "benchmark layer until item 1 Step B",
+    "tnet.ProjectorMPS.apply": "benchmark layer until item 1 Step B",
     "tnet.anomaly_loss": "benchmark layer until item 1 Step B",
     "tnet.projector_frobenius": "benchmark layer until item 1 Step B",
     "tnet.trig_embedding": "benchmark layer until item 1 Step B",

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdesk import tnet
+from qdesk import cli, tnet
 from qdesk.errors import BadParameter, DimensionMismatch, TargetOutOfRange
 
 
@@ -329,15 +329,30 @@ class TestProjector:
         assert [A.shape[1] for A in mps.tensors] == [1, 3, 1, 3, 1]
         assert ops == sum(c.size for c in model.cores)
 
-    def test_score_ops_linear_in_sites(self):
+    def test_score_runs_the_fit_sweep(self, monkeypatch):
+        # anomaly_score reads D(x) from _sweeps, as the fit's loss does
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-sample path called")
+
+        monkeypatch.setattr(tnet.ProjectorMPS, "apply", refuse)
+        monkeypatch.setattr(tnet, "mps_norm", refuse)
         rng = np.random.default_rng(12)
-
-        def ops_at(N):
-            model = tnet._random_projector(N, 2, 2, 2, rng)
-            _, ops = tnet.anomaly_score(model, np.zeros(N), return_ops=True)
-            return ops
-
-        assert ops_at(24) < 4 * ops_at(12)
+        for N in range(1, 6):
+            for S in sorted({1, 2, 3, N + 1}):
+                for d in (2, 3):
+                    for make in (tnet._random_projector, complex_projector):
+                        model = make(N, S, d, 2, rng)
+                        x = rng.uniform(-1, 1, size=N)
+                        phi = np.ones(1)
+                        for xi in x:
+                            phi = np.kron(phi, tnet.trig_embedding(xi, d))
+                        ref = np.linalg.norm(
+                            tnet.projector_to_dense(model) @ phi)
+                        assert tnet.anomaly_score(model, x) == \
+                            pytest.approx(ref, abs=1e-12 * max(1, ref))
+        out = cli.run_config({"experiment": "anomaly", "seed": 3,
+                              "params": {"N": 4, "M": 4, "steps": 2}})
+        assert out.splitlines()[-2] == "final_loss,mean_score,target"
 
 
 class TestAnomalyFit:

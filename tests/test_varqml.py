@@ -88,7 +88,7 @@ class TestStochasticShift:
                 self._circ(), 0, "ZZ", [0.9, -0.5], OBS, None, samples,
                 np.random.default_rng(0))
 
-    @pytest.mark.parametrize("t", [2, -1, 5, 0.0])
+    @pytest.mark.parametrize("t", [2, -1, 5, 0.0, True])
     def test_layer_index_is_checked(self, t):
         circ, th = self._circ(), [0.9, -0.5]  # layers 0 and 1
         with pytest.raises(TargetOutOfRange):
